@@ -7,7 +7,9 @@ driven one step at a time.
 
 Padding is handled with a boolean pad mask: at padded positions the recurrent
 state is carried through unchanged, so variable-length batches give the same
-final states as running each sequence alone.
+final states as running each sequence alone. A timestep where every row pads
+skips the recurrence altogether, so a source padded to a fixed serving width
+runs the recurrence over its real tokens only, not the width.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ class LSTM(Module):
         pad_mask:
             Optional boolean array ``(B, T)``; True marks padding. At padded
             steps the state is carried through unchanged and the emitted
-            output is zero.
+            output is zero; steps where every row pads are not computed.
         initial_states:
             Optional per-layer ``(h, c)`` to start from.
         reverse:
@@ -170,6 +172,7 @@ class LSTM(Module):
 
         layer_input = inputs
         final_states: list[State] = []
+        all_pad = pad_mask.all(axis=0) if pad_mask is not None else None
         for layer, cell in enumerate(self.cells):
             # One batched matmul for every timestep's input projection; the
             # recurrence then only multiplies by W_hh per step.
@@ -182,6 +185,11 @@ class LSTM(Module):
             h, c = states[layer]
             outputs: list[Tensor | None] = [None] * time_steps
             for t in time_order:
+                if all_pad is not None and all_pad[t]:
+                    # Every row pads here: the step would be discarded by
+                    # ``where``, so carry (h, c) without computing it.
+                    outputs[t] = h
+                    continue
                 h_new, c_new = lstm_cell_step_preprojected(
                     projected[:, t, :], h, c, cell.weight_hh
                 )

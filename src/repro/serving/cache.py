@@ -74,7 +74,9 @@ def pad_batch(batch: Batch, width: int) -> Batch:
     the padded positions are numerically inert — but a *fixed* width is
     what makes the continuous engine's frontier byte-stable: every request
     decodes at the same source width whether it runs alone or next to
-    requests of other lengths.
+    requests of other lengths. The encoder skips its recurrence at columns
+    where every row pads, so the added columns cost the encode only their
+    share of the input projection.
     """
     current = batch.src.shape[1]
     if current == width:

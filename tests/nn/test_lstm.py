@@ -1,7 +1,10 @@
 """Tests for LSTMCell, stacked LSTM, and the bidirectional encoder."""
 
+from collections import Counter
+
 import numpy as np
 
+import repro.nn.lstm as lstm_module
 from repro.nn import LSTM, BidirectionalLSTM, LSTMCell
 from repro.tensor import Tensor, check_gradients
 
@@ -89,11 +92,11 @@ def test_lstm_padding_carries_state():
     pad_mask = np.array([[False, False, False, True, True]])
     out_long, states_long = lstm(Tensor(padded), pad_mask=pad_mask)
 
-    assert np.allclose(states_short[0][0].data, states_long[0][0].data)
-    assert np.allclose(states_short[0][1].data, states_long[0][1].data)
+    assert np.array_equal(states_short[0][0].data, states_long[0][0].data)
+    assert np.array_equal(states_short[0][1].data, states_long[0][1].data)
     # Padded positions emit zeros.
-    assert np.allclose(out_long.data[:, 3:, :], 0.0)
-    assert np.allclose(out_long.data[:, :3, :], out_short.data)
+    assert np.array_equal(out_long.data[:, 3:, :], np.zeros((1, 2, 3)))
+    assert np.array_equal(out_long.data[:, :3, :], out_short.data)
 
 
 def test_lstm_reverse_matches_manual_reversal():
@@ -190,10 +193,10 @@ def test_bilstm_padding_equivalence():
     mask = np.array([[False] * 4 + [True] * 3])
     out_long, fwd_long, bwd_long = encoder(Tensor(padded), pad_mask=mask)
 
-    assert np.allclose(out_long.data[:, :4, :], out_short.data)
-    assert np.allclose(out_long.data[:, 4:, :], 0.0)
-    assert np.allclose(fwd_short[0][0].data, fwd_long[0][0].data)
-    assert np.allclose(bwd_short[0][0].data, bwd_long[0][0].data)
+    assert np.array_equal(out_long.data[:, :4, :], out_short.data)
+    assert np.array_equal(out_long.data[:, 4:, :], np.zeros((1, 3, 8)))
+    assert np.array_equal(fwd_short[0][0].data, fwd_long[0][0].data)
+    assert np.array_equal(bwd_short[0][0].data, bwd_long[0][0].data)
 
 
 def test_lstm_initial_states_are_independent_tensors():
@@ -220,3 +223,62 @@ def test_lstm_two_layer_stack_feeds_layer_outputs():
     layer1.cells[0].bias.data[...] = lstm.cells[1].bias.data
     top, _ = layer1(Tensor(mid.data))
     assert np.allclose(top.data, out.data)
+
+
+def _counting_cell_steps(monkeypatch):
+    """Count recurrence steps per cell (keyed by the cell's ``W_hh``)."""
+    calls = Counter()
+    real_step = lstm_module.lstm_cell_step_preprojected
+
+    def counting(x_projected, h_prev, c_prev, weight_hh):
+        calls[id(weight_hh)] += 1
+        return real_step(x_projected, h_prev, c_prev, weight_hh)
+
+    monkeypatch.setattr(lstm_module, "lstm_cell_step_preprojected", counting)
+    return calls
+
+
+def test_all_padding_columns_skip_the_recurrence(monkeypatch):
+    """A 9-token source padded to 200 costs 9 steps and encodes byte-equal."""
+    encoder = BidirectionalLSTM(5, 4, num_layers=2, rng=_rng(26))
+    data = np.random.default_rng(27).standard_normal((1, 9, 5))
+    short_mask = np.zeros((1, 9), dtype=bool)
+    out_short, fwd_short, bwd_short = encoder(Tensor(data), pad_mask=short_mask)
+
+    calls = _counting_cell_steps(monkeypatch)
+    padded = np.concatenate([data, np.zeros((1, 191, 5))], axis=1)
+    long_mask = np.array([[False] * 9 + [True] * 191])
+    out_long, fwd_long, bwd_long = encoder(Tensor(padded), pad_mask=long_mask)
+
+    cells = encoder.forward_lstm.cells + encoder.backward_lstm.cells
+    assert {id(cell.weight_hh): 9 for cell in cells} == dict(calls)
+    assert np.array_equal(out_long.data[:, :9, :], out_short.data)
+    assert np.array_equal(out_long.data[:, 9:, :], np.zeros((1, 191, 8)))
+    for short, long in ((fwd_short, fwd_long), (bwd_short, bwd_long)):
+        for (h_short, c_short), (h_long, c_long) in zip(short, long):
+            assert np.array_equal(h_short.data, h_long.data)
+            assert np.array_equal(c_short.data, c_long.data)
+
+
+def test_partial_padding_columns_still_run_the_recurrence(monkeypatch):
+    """A column where only some rows pad is computed for the whole batch."""
+    lstm = LSTM(3, 2, num_layers=1, rng=_rng(28))
+    mask = np.array([[False, False, True, True], [False, True, True, True]])
+    calls = _counting_cell_steps(monkeypatch)
+    lstm(_inputs(2, 4, 3, seed=29), pad_mask=mask)
+    assert sum(calls.values()) == 2
+
+
+def test_bilstm_gradcheck_with_trailing_all_padding_column():
+    encoder = BidirectionalLSTM(2, 2, num_layers=2, rng=_rng(30))
+    x = Tensor(np.random.default_rng(31).standard_normal((2, 4, 2)), requires_grad=True)
+    mask = np.array([[False, False, False, True], [False, False, True, True]])
+
+    def loss():
+        out, fwd, bwd = encoder(x, pad_mask=mask)
+        total = (out * out).sum()
+        for h, c in fwd + bwd:
+            total = total + (h * c).sum()
+        return total
+
+    check_gradients(loss, [x] + encoder.parameters(), rtol=1e-3, atol=1e-5)

@@ -15,6 +15,7 @@ from repro.data.vocabulary import PAD_ID
 from repro.decoding.batched_beam import batched_beam_decode
 from repro.observability import Telemetry
 from repro.serving import (
+    AdmissionPolicy,
     BreakerConfig,
     CircuitBreaker,
     ContinuousBatchingEngine,
@@ -58,20 +59,24 @@ def solo_decode(model, encoded, beam_size, max_length, width=PAD_TO):
 # ----------------------------------------------------------------------
 # Byte-equivalence: cohabitation must not change a single bit
 # ----------------------------------------------------------------------
-def test_mixed_frontier_matches_solo_decode_byte_for_byte():
+@pytest.mark.parametrize("pad_to", [PAD_TO, None], ids=["pad12", "service_default"])
+def test_mixed_frontier_matches_solo_decode_byte_for_byte(pad_to):
     """Requests of different lengths and beam widths share the frontier;
-    each must decode exactly as it would alone at the same padded width."""
-    texts = request_texts(8, seed=17)
+    each must decode exactly as it would alone at the same padded width,
+    also at the service's default width (``max_source_tokens``)."""
+    texts = request_texts(9, seed=17)
     requests = [
         GenerationRequest(
             text, request_id=f"r{i}",
-            beam_size=2 + (i % 2),          # beams 2 and 3 cohabit
-            max_length=4 + 3 * (i % 3),     # lengths 4, 7, 10 cohabit
+            beam_size=1 + (i % 3),          # beams 1, 2 and 3 cohabit
+            max_length=4 + 3 * (i // 3),    # lengths 4, 7, 10 cohabit
         )
         for i, text in enumerate(texts)
     ]
     model = build_tiny_model()
-    engine = build_engine(build_service(model=model), max_rows=8)
+    engine = build_engine(build_service(model=model), max_rows=8, pad_to=pad_to)
+    if pad_to is None:
+        assert engine.pad_to == AdmissionPolicy().max_source_tokens
     outcomes = {o.request_id: o for o in run_requests(engine, requests)}
     assert all(o.status == "served" for o in outcomes.values())
     assert engine.stats.solo_fallbacks == 0
@@ -82,7 +87,8 @@ def test_mixed_frontier_matches_solo_decode_byte_for_byte():
             GenerationRequest(request.text, request_id=request.request_id)
         )
         best = solo_decode(
-            reference.model, encoded, request.beam_size, request.max_length
+            reference.model, encoded, request.beam_size, request.max_length,
+            width=engine.pad_to,
         )
         got = outcomes[request.request_id].result
         assert got.log_prob == best.log_prob  # byte-identical, not approximate
