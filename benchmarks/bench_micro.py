@@ -281,22 +281,24 @@ def test_acnn_loss_tape_node_count(benchmark, micro_setup):
 
 
 def test_fusion_throughput_report(micro_setup, results_dir):
-    """Staged execution (lazy trace + fused kernels + arena replay) vs eager.
+    """Fused tape nodes (``lazy()``, i.e. ``TrainerConfig.fusion``) vs eager.
 
-    Micro configs replay the attention kernel and a chained LSTM cell step
-    under ``lazy() + no_grad`` against the elementary eager chain; decode
-    configs run greedy and batched-beam decode with ``fusion`` on vs off.
-    Results go to ``results/fusion_throughput.txt`` and the repo-root
-    ``BENCH_tensor_fusion.json``. Acceptance bar (ISSUE 6): >= 2x on at
-    least one configuration, with byte-identical decode outputs.
+    Two configurations, both with gradients on — the only mode where
+    fusion is offered: the fused attention node forward + backward against
+    the elementary chain, and a full ACNN train step (loss, backward,
+    clip, SGD) through ``Trainer.train_batch`` with ``TrainerConfig.fusion``
+    off vs on. Results go to ``results/fusion_throughput.txt`` and the
+    repo-root ``BENCH_tensor_fusion.json``. Acceptance bar: >= 2x on at
+    least one configuration, with byte-identical training losses.
     """
+    import copy
     import json
     import os
 
-    from repro.decoding import greedy_decode
     from repro.tensor import lazy
+    from repro.training import Trainer, TrainerConfig
 
-    model, dataset, _ = micro_setup
+    model, dataset, batch = micro_setup
     rng = np.random.default_rng(0)
 
     def best_of(fn, repeats=5):
@@ -309,39 +311,10 @@ def test_fusion_throughput_report(micro_setup, results_dir):
 
     configs = []
 
-    # --- micro: fused attention replay vs elementary eager chain --------
-    attention = GlobalAttention(48, 96, rng)
-    d = Tensor(rng.standard_normal((32, 48)))
-    h = Tensor(rng.standard_normal((32, 100, 96)))
-    mask = rng.random((32, 100)) < 0.2
-    mask[:, 0] = False
-    steps = 100
-
-    def attention_eager():
-        with no_grad():
-            for _ in range(steps):
-                attention(d, h, pad_mask=mask)
-
-    def attention_fused():
-        with lazy(), no_grad():
-            for _ in range(steps):
-                attention(d, h, pad_mask=mask)
-
-    attention_fused()  # warm the arena before timing
-    configs.append(
-        {
-            "name": "attention_kernel_replay",
-            "detail": f"batch=32 time=100 enc=96, {steps} replayed steps",
-            "eager_seconds": best_of(attention_eager),
-            "fused_seconds": best_of(attention_fused),
-        }
-    )
-
     # --- micro: fused single-node attention, forward + backward ---------
-    # This is what TrainerConfig.fusion toggles: the whole score→mask→
-    # softmax→context chain as one tape node with a hand-written BLAS
-    # backward, vs ~12 elementary nodes each materializing (B, T, E)
-    # temporaries in both directions.
+    # The whole score→mask→softmax→context chain as one tape node with a
+    # hand-written BLAS backward, vs ~12 elementary nodes each
+    # materializing (B, T, E) temporaries in both directions.
     grad_attention = GlobalAttention(64, 128, rng)
     gd = Tensor(rng.standard_normal((16, 64)), requires_grad=True)
     gh = Tensor(rng.standard_normal((16, 200, 128)), requires_grad=True)
@@ -349,11 +322,9 @@ def test_fusion_throughput_report(micro_setup, results_dir):
     gmask[:, 0] = False
 
     def attention_grad(fused):
-        from repro.tensor import lazy as lazy_ctx
-
         for _ in range(20):
             if fused:
-                with lazy_ctx():
+                with lazy():
                     context, weights = grad_attention(gd, gh, pad_mask=gmask)
             else:
                 context, weights = grad_attention(gd, gh, pad_mask=gmask)
@@ -373,67 +344,31 @@ def test_fusion_throughput_report(micro_setup, results_dir):
         }
     )
 
-    # --- micro: LSTM cell step chain ------------------------------------
-    cell = LSTMCell(48, 48, rng)
-    xs = [Tensor(rng.standard_normal((64, 48))) for _ in range(50)]
+    # --- end to end: one full train step, TrainerConfig.fusion off vs on
+    def trainer(fusion):
+        return Trainer(
+            copy.deepcopy(model),
+            BatchIterator(dataset, batch_size=32, seed=0),
+            config=TrainerConfig(epochs=1, fusion=fusion),
+        )
 
-    def lstm_chain():
-        state = cell.initial_state(64)
-        for x in xs:
-            state = cell(x, state)
-
-    def lstm_eager():
-        with no_grad():
-            lstm_chain()
-
-    def lstm_fused():
-        with lazy(), no_grad():
-            lstm_chain()
-
-    lstm_fused()
+    eager_trainer, fused_trainer = trainer(False), trainer(True)
+    eager_loss, _ = eager_trainer.train_batch(batch)
+    fused_loss, _ = fused_trainer.train_batch(batch)
+    assert eager_loss == fused_loss  # fused forward is byte-identical
+    train_steps = 3
     configs.append(
         {
-            "name": "lstm_cell_chain_replay",
-            "detail": "batch=64 hidden=48, 50 chained steps",
-            "eager_seconds": best_of(lstm_eager),
-            "fused_seconds": best_of(lstm_fused),
-        }
-    )
-
-    # --- decode: greedy and batched beam, fusion flag on vs off ---------
-    batch = collate(dataset.encoded[:16], pad_id=0)
-    greedy_off = greedy_decode(model, batch, max_length=16, fusion=False)
-    greedy_on = greedy_decode(model, batch, max_length=16, fusion=True)
-    assert [h.token_ids for h in greedy_off] == [h.token_ids for h in greedy_on]
-    configs.append(
-        {
-            "name": "greedy_decode",
-            "detail": "acnn batch=16 max_length=16",
+            "name": "train_step",
+            "detail": (
+                f"acnn batch=32 hidden=48 layers=2, {train_steps} "
+                "Trainer.train_batch steps (loss+backward+clip+SGD)"
+            ),
             "eager_seconds": best_of(
-                lambda: greedy_decode(model, batch, max_length=16, fusion=False)
+                lambda: [eager_trainer.train_batch(batch) for _ in range(train_steps)]
             ),
             "fused_seconds": best_of(
-                lambda: greedy_decode(model, batch, max_length=16, fusion=True)
-            ),
-        }
-    )
-
-    beam_off = batched_beam_decode(model, batch, beam_size=3, max_length=12, fusion=False)
-    beam_on = batched_beam_decode(model, batch, beam_size=3, max_length=12, fusion=True)
-    assert [h.token_ids for h in beam_off] == [h.token_ids for h in beam_on]
-    configs.append(
-        {
-            "name": "batched_beam_decode",
-            "detail": "acnn batch=16 beam=3 max_length=12",
-            "eager_seconds": best_of(
-                lambda: batched_beam_decode(
-                    model, batch, beam_size=3, max_length=12, fusion=False
-                )
-            ),
-            "fused_seconds": best_of(
-                lambda: batched_beam_decode(
-                    model, batch, beam_size=3, max_length=12, fusion=True
-                )
+                lambda: [fused_trainer.train_batch(batch) for _ in range(train_steps)]
             ),
         }
     )
@@ -442,7 +377,7 @@ def test_fusion_throughput_report(micro_setup, results_dir):
         config["speedup"] = round(config["eager_seconds"] / config["fused_seconds"], 2)
 
     lines = [
-        "staged execution throughput: lazy + fused kernels + arena replay vs eager",
+        "fused tape nodes (lazy(), TrainerConfig.fusion) vs eager, gradients on",
         "best-of-5 wall clock per configuration",
         "",
         f"{'config':<26} {'eager (s)':>10} {'fused (s)':>10} {'speedup':>8}",
@@ -457,12 +392,12 @@ def test_fusion_throughput_report(micro_setup, results_dir):
     report = {
         "benchmark": "tensor_fusion",
         "description": (
-            "lazy()/compile_graph staged execution with fused LSTM/attention/"
-            "pointer kernels and arena replay, vs per-op eager dispatch"
+            "fused attention/pointer tape nodes with hand-written backwards "
+            "(lazy(), TrainerConfig.fusion) vs per-op eager dispatch, gradients on"
         ),
         "command": "PYTHONPATH=src python -m pytest benchmarks/bench_micro.py -k fusion_throughput",
         "timing": "best of 5",
-        "equivalence": "decode outputs byte-identical fusion on vs off",
+        "equivalence": "train-step loss byte-identical fusion on vs off",
         "configs": configs,
         "max_speedup": max(config["speedup"] for config in configs),
     }

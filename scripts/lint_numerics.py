@@ -43,10 +43,10 @@ DEFAULT_TARGET = REPO_ROOT / "src" / "repro"
 BLESSED = {Path("src/repro/nn/numerics.py")}
 
 #: Fused-kernel files where waivers do NOT excuse raw transcendental calls.
-#: These run inside arena replay, where a silent NaN has no tape node to
-#: blame — every log/exp/sqrt must route through repro.nn.numerics so the
-#: guarded kernels (np_fast_sigmoid, np_stable_softmax, np_safe_*) are the
-#: only transcendental code paths.
+#: A fused kernel is one tape node for a whole chain, so a silent NaN inside
+#: it has no finer node to blame — every log/exp/sqrt must route through
+#: repro.nn.numerics so the guarded kernels (np_fast_sigmoid,
+#: np_stable_softmax, np_safe_*) are the only transcendental code paths.
 STRICT_FUSED = {
     Path("src/repro/nn/functional.py"),
     Path("src/repro/tensor/lazy.py"),

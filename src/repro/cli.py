@@ -55,25 +55,9 @@ from repro.training import (
     TrainerConfig,
     TrainingInterrupted,
 )
-from repro.tensor.lazy import set_fusion_enabled
 from repro.training.bundle import ModelBundle
 
 __all__ = ["main"]
-
-
-def _add_fusion_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--fusion",
-        action="store_true",
-        help="enable lazy kernel fusion (staged execution with arena "
-        "replay; identical outputs, fewer Python-level ops per step)",
-    )
-
-
-def _apply_fusion(args) -> None:
-    """Raise the process-wide fusion default when ``--fusion`` was passed."""
-    if getattr(args, "fusion", False):
-        set_fusion_enabled(True)
 
 
 def _build_telemetry(telemetry_dir: str | None) -> Telemetry | None:
@@ -242,8 +226,6 @@ def _cmd_stats(args) -> int:
 def _cmd_train(args) -> int:
     from repro.data import split_examples
 
-    _apply_fusion(args)
-
     examples = _load_examples(args)
     from_shards = bool(getattr(args, "shards", None))
     if from_shards:
@@ -344,6 +326,7 @@ def _cmd_train(args) -> int:
         log_every=args.log_every,
         detect_anomaly=args.detect_anomaly,
         overflow_policy=args.overflow_policy,
+        fusion=args.fusion,
     )
     use_elastic = args.elastic or args.workers is not None
     if use_elastic:
@@ -404,7 +387,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    _apply_fusion(args)
     bundle = ModelBundle.load(args.bundle)
     examples = _load_examples(args)
     test_examples = examples[-args.num_examples:] if args.num_examples else examples
@@ -436,7 +418,6 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    _apply_fusion(args)
     bundle = ModelBundle.load(args.bundle)
     if args.input:
         with open(args.input, encoding="utf-8") as handle:
@@ -486,8 +467,6 @@ def _install_hup_reload(enabled: bool) -> dict:
 
 def _cmd_serve(args) -> int:
     import json
-
-    _apply_fusion(args)
 
     from repro.serving import (
         AdmissionPolicy,
@@ -790,7 +769,16 @@ def build_parser() -> argparse.ArgumentParser:
             "declares it dead and re-shards its micro-batches"
         ),
     )
-    _add_fusion_flag(train)
+    train.add_argument(
+        "--fusion",
+        action="store_true",
+        help=(
+            "run the training forward with fused attention and copy-score "
+            "tape nodes (TrainerConfig.fusion; also in --elastic workers): "
+            "fewer Python-level ops per decoder step and a faster backward; "
+            "losses match eager, gradients to rounding"
+        ),
+    )
     train.set_defaults(handler=_cmd_train)
 
     evaluate = subparsers.add_parser("evaluate", help="score a saved bundle")
@@ -803,7 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry-dir",
         help="append decode/eval telemetry to <dir>/trace.jsonl",
     )
-    _add_fusion_flag(evaluate)
     evaluate.set_defaults(handler=_cmd_evaluate)
 
     generate = subparsers.add_parser("generate", help="generate questions for sentences")
@@ -811,7 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--input", help="file with one sentence per line (default: stdin)")
     generate.add_argument("--beam-size", type=int, default=3)
     generate.add_argument("--max-length", type=int, default=24)
-    _add_fusion_flag(generate)
     generate.set_defaults(handler=_cmd_generate)
 
     serve = subparsers.add_parser(
@@ -874,7 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry-dir",
         help="append serving telemetry to <dir>/trace.jsonl",
     )
-    _add_fusion_flag(serve)
     serve.set_defaults(handler=_cmd_serve)
 
     return parser

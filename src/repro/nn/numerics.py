@@ -142,9 +142,8 @@ def np_fast_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     nonlinearity: ``exp`` overflow for very negative inputs saturates to
     exactly 0.0 (the correct limit; the harmless warning is suppressed),
     and NaN inputs propagate to NaN outputs so anomaly detection still
-    fires. With ``out`` given, every intermediate runs in-place — the
-    arena-replay form used by the fused kernels — producing the same
-    bytes as the allocating form.
+    fires. With ``out`` given, every intermediate runs in-place,
+    producing the same bytes as the allocating form.
     """
     with np.errstate(over="ignore"):
         if out is None:

@@ -40,7 +40,7 @@ from repro.optim.optimizers import Optimizer
 from repro.optim.schedules import Schedule
 from repro.tensor.anomaly import NumericalAnomaly, detect_anomaly
 from repro.tensor.core import no_grad
-from repro.tensor.lazy import fusion_context
+from repro.tensor.lazy import lazy
 from repro.training.history import EpochRecord, RecoveryEvent, TrainingHistory
 from repro.training.overflow import BatchQuarantined, DynamicLossScaler, OverflowPolicy
 from repro.training.resilience import (
@@ -149,13 +149,14 @@ class TrainerConfig:
     many consecutive quarantined batches — a model that cannot produce a
     finite step anymore has diverged."""
     fusion: bool = False
-    """Run the forward pass inside :func:`repro.tensor.lazy.fusion_context`:
-    each decoder step's LSTM/attention/copy chains collapse into single
+    """Run the forward pass inside :class:`repro.tensor.lazy.lazy`: each
+    decoder step's attention and copy-score chains collapse into single
     fused tape nodes (byte-identical forward, gradcheck-pinned backward)
-    instead of ~30 elementary ops. Off by default — zero behavior change;
-    ``False`` still defers to the process-wide
-    :func:`~repro.tensor.lazy.set_fusion_enabled` default, so the CLI's
-    ``--fusion`` flag reaches the loop without threading config."""
+    instead of ~15 elementary ops. The elastic runtime applies it in every
+    worker and in the inline fallback. Off by default: the fused backward
+    sums in a different order, so trained parameters differ from eager in
+    the last bits. This is the only fusion switch (``acnn train
+    --fusion``); decoding always runs eager."""
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -285,7 +286,7 @@ class Trainer:
         self.model.train()
         scaler = self.loss_scaler
         anomaly_guard = detect_anomaly() if self.config.detect_anomaly else nullcontext()
-        fusion_guard = fusion_context(True) if self.config.fusion else nullcontext()
+        fusion_guard = lazy() if self.config.fusion else nullcontext()
         try:
             with anomaly_guard, fusion_guard:
                 with telemetry.span("forward"):

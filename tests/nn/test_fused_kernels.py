@@ -1,6 +1,8 @@
 """Fused attention / pointer / LSTM kernels: gradchecks against numerical
-gradients, byte-identity fuzzing against the elementary-op formulation, and
-the arena replay tier under ``lazy() + no_grad``."""
+gradients and byte-identity fuzzing against the elementary-op formulation,
+with gradients on and under ``lazy() + no_grad``. (Some test names keep the
+word "arena" from a removed no-grad buffer-replay tier; they now check the
+fused kernels under ``lazy() + no_grad``.)"""
 
 import numpy as np
 import pytest
@@ -78,7 +80,7 @@ def test_fused_attention_arena_replay_byte_identical(batch, time, dec, enc, seed
     d, states, weight, mask = _attention_inputs(batch, time, dec, enc, seed)
     e_context, e_weights = _eager_attention_chain(d, states, weight, mask)
     with lazy(), no_grad():
-        for _ in range(3):  # replay steps reuse buffers
+        for _ in range(3):  # repeated steps must not disturb each other
             a_context, a_weights = fused_attention(d, states, weight, pad_mask=mask)
             assert np.array_equal(a_context.data, e_context.data)
             assert np.array_equal(a_weights.data, e_weights.data)
@@ -145,12 +147,12 @@ def test_fused_pointer_probs_byte_identical(batch, time, enc, seed):
     assert np.array_equal(fused.data, eager.data)
     with lazy(), no_grad():
         for _ in range(3):
-            arena_probs = fused_pointer_probs(projected, states, bias, mask)
-            assert np.array_equal(arena_probs.data, eager.data)
+            lazy_probs = fused_pointer_probs(projected, states, bias, mask)
+            assert np.array_equal(lazy_probs.data, eager.data)
 
 
 # ---------------------------------------------------------------------------
-# LSTM step: arena tier vs fused node vs elementary reference
+# LSTM step: fused node under lazy() + no_grad vs eager and the elementary reference
 # ---------------------------------------------------------------------------
 @given(dims, dims, dims, seeds)
 @settings(max_examples=40, deadline=None)
@@ -186,9 +188,9 @@ def test_lstm_arena_matches_forward_reference():
 
 
 def test_stacked_cells_with_shared_shapes_do_not_alias():
-    """Three same-shaped cells chained for many steps: per-cell arena keys
-    must keep each cell's ping-pong state private (a shared slot would
-    corrupt h/c after two steps)."""
+    """Three same-shaped cells chained for many steps under lazy() +
+    no_grad: each cell's h/c state must stay private (a buffer shared
+    between same-shaped cells would corrupt h/c after two steps)."""
     rng = np.random.default_rng(23)
     cells = [LSTMCell(6, 6, rng) for _ in range(3)]
     xs = [Tensor(rng.standard_normal((2, 6))) for _ in range(6)]
@@ -227,7 +229,7 @@ def test_fused_kernels_are_single_tape_nodes_under_grad():
 
 def test_anomaly_mode_disables_raw_arena_but_keeps_fusion():
     """detect_anomaly needs tape nodes for provenance: inside lazy() the
-    kernels must fall back to single-node form (which on_op sees)."""
+    fused kernel is one tape node, which on_op sees."""
     from repro.tensor import NumericalAnomaly, detect_anomaly
 
     d, states, weight, mask = _attention_inputs(2, 4, 3, 3, seed=5)

@@ -51,7 +51,7 @@ def test_dropout_eval_identity(p, seed):
     out = layer(x)
     # Identity *values* (sharing x's array is fine) but a distinct node:
     # returning the input object itself aliased graph identities, breaking
-    # arena planning and train/eval tape-profile comparisons.
+    # train/eval tape-profile comparisons.
     assert out is not x
     assert out.data is x.data
 
