@@ -161,11 +161,16 @@ def test_decode_throughput_report(micro_setup, results_dir):
             f"{speedups[batch_size]:>7.2f}x"
         )
 
-    # Both paths must still agree on what they decode.
-    batch = collate(dataset.encoded[:8], pad_id=0)
-    per_example = _per_example_beam(model, batch, beam_size, max_length)
-    batched = batched_beam_decode(model, batch, beam_size=beam_size, max_length=max_length)
-    assert [h.token_ids for h in per_example] == [h.token_ids for h in batched]
+    # Both paths must still decode the same bytes: tokens, scores, flags.
+    for batch_size in (8, 32):
+        batch = collate(dataset.encoded[:batch_size], pad_id=0)
+        per_example = _per_example_beam(model, batch, beam_size, max_length)
+        batched = batched_beam_decode(
+            model, batch, beam_size=beam_size, max_length=max_length
+        )
+        assert [(h.token_ids, h.log_prob, h.finished) for h in per_example] == [
+            (h.token_ids, h.log_prob, h.finished) for h in batched
+        ]
 
     write_result(results_dir, "decode_throughput.txt", "\n".join(lines) + "\n")
     assert speedups[32] >= 2.0

@@ -89,6 +89,7 @@ def beam_decode_example(
         base_state = model.initial_decoder_state(context)
         state = base_state.select(np.array([example_index]))
         finished: list[Hypothesis] = []
+        best_finished = -np.inf
 
         for step in range(max_length):
             width = len(live)
@@ -108,9 +109,9 @@ def beam_decode_example(
             for source, token_lp in eos_picks:
                 grown = live[source].extended(EOS_ID, token_lp, finished=True)
                 # Drop the EOS token itself from the surface sequence.
-                finished.append(
-                    Hypothesis(grown.token_ids[:-1], grown.log_prob, finished=True)
-                )
+                ended = Hypothesis(grown.token_ids[:-1], grown.log_prob, finished=True)
+                finished.append(ended)
+                best_finished = max(best_finished, ended.score(length_penalty))
             if not continuations:
                 break
             state = new_state.select(np.array([source for source, _, _ in continuations]))
@@ -120,7 +121,8 @@ def beam_decode_example(
             ]
 
             if should_stop_row(
-                finished,
+                best_finished,
+                len(finished),
                 [hyp.log_prob for hyp in live],
                 step + 1,
                 beam_size,

@@ -61,6 +61,7 @@ def _nbest_for_example(
     live = [Hypothesis((), 0.0)]
     state = model.initial_decoder_state(context).select(np.array([example_index]))
     finished: list[Hypothesis] = []
+    best_finished = -np.inf
 
     for step in range(max_length):
         width = len(live)
@@ -77,9 +78,9 @@ def _nbest_for_example(
         eos_picks, continuations = select_step_candidates(totals, step_lp, beam_size)
         for source, token_lp in eos_picks:
             grown = live[source].extended(EOS_ID, token_lp, finished=True)
-            finished.append(
-                Hypothesis(grown.token_ids[:-1], grown.log_prob, finished=True)
-            )
+            ended = Hypothesis(grown.token_ids[:-1], grown.log_prob, finished=True)
+            finished.append(ended)
+            best_finished = max(best_finished, ended.score(length_penalty))
 
         if not continuations:
             break
@@ -91,7 +92,8 @@ def _nbest_for_example(
         # Same stopping rule as beam_decode (optimistic live bound), but the
         # pool must cover the requested n-best depth before stopping.
         if should_stop_row(
-            finished,
+            best_finished,
+            len(finished),
             [hyp.log_prob for hyp in live],
             step + 1,
             max(n_best, beam_size),

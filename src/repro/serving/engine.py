@@ -168,6 +168,8 @@ class _Slot:
     rows: int
     live: list[Hypothesis]
     finished: list[Hypothesis] = field(default_factory=list)
+    best_finished: float = -np.inf
+    """Best normalized score in ``finished``, kept as finishes append."""
     steps: int = 0
     prev: np.ndarray = None  # (rows,) previous extended-vocab tokens
     live_lp: np.ndarray = None  # (rows,) live log-probs, -inf at dead slots
@@ -331,8 +333,10 @@ class ContinuousBatchingEngine:
             for source, token_lp in eos_picks:
                 grown = slot.live[source].extended(EOS_ID, token_lp, finished=True)
                 # The EOS token scores but never surfaces.
-                slot.finished.append(
-                    Hypothesis(grown.token_ids[:-1], grown.log_prob, finished=True)
+                ended = Hypothesis(grown.token_ids[:-1], grown.log_prob, finished=True)
+                slot.finished.append(ended)
+                slot.best_finished = max(
+                    slot.best_finished, ended.score(self.service.config.length_penalty)
                 )
             slot.steps += 1
             if not continuations:
@@ -353,7 +357,8 @@ class ContinuousBatchingEngine:
             slot.prev = next_prev
             slot.live_lp = next_lp
             if slot.steps >= slot.request.max_length or should_stop_row(
-                slot.finished,
+                slot.best_finished,
+                len(slot.finished),
                 [h.log_prob for h in new_live],
                 slot.steps,
                 rows,

@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 
 from repro.data.batching import collate
-from repro.data.vocabulary import PAD_ID
-from repro.decoding.batched_beam import batched_beam_decode
+from repro.data.vocabulary import EOS_ID, PAD_ID
+from repro.decoding import beam_decode_example
+from repro.decoding.batched_beam import batched_beam_decode, batched_beam_search
+from repro.decoding.hypothesis import Hypothesis
+from repro.models.base import EncoderContext, QuestionGenerator
 from repro.observability import Telemetry
 from repro.serving import (
     AdmissionPolicy,
@@ -25,8 +28,9 @@ from repro.serving import (
     ManualClock,
     pad_batch,
 )
+from repro.tensor import Tensor, no_grad
 
-from conftest import build_service, build_tiny_model, request_texts
+from conftest import DECODER, build_service, build_tiny_model, request_texts
 
 PAD_TO = 12
 
@@ -126,6 +130,74 @@ def test_retired_rows_never_influence_survivors():
     encoded = reference.admit(GenerationRequest(long.text, request_id="solo"))
     best = solo_decode(reference.model, encoded, 2, 10)
     assert outcomes["long"].result.log_prob == best.log_prob
+
+
+class _GrowingPoolModel(QuestionGenerator):
+    """Every step offers EOS just below the best continuation, whatever the
+    previous token: each beam step finishes about one hypothesis, and the
+    optimistic stop bound keeps the beam running, so finished pools grow
+    with the step count."""
+
+    STEP = {EOS_ID: -0.55, 4: -0.5, 5: -0.6, 6: -0.7}
+
+    def __init__(self):
+        super().__init__(decoder_vocab_size=len(DECODER))
+
+    def encode(self, batch):
+        size, width = batch.src.shape
+        return EncoderContext(
+            encoder_states=Tensor(np.zeros((size, width, 1))),
+            src_pad_mask=batch.src_pad_mask,
+            src_ext=batch.src_ext,
+            max_oov=max(len(oov) for oov in batch.oov_tokens),
+            initial_states=[(Tensor(np.zeros((size, 1))), Tensor(np.zeros((size, 1))))],
+        )
+
+    def step_log_probs(self, prev_tokens, state, context, row_indices=None):
+        log_probs = np.full((len(prev_tokens), self.decoder_vocab_size + context.max_oov), -np.inf)
+        for token, log_prob in self.STEP.items():
+            log_probs[:, token] = log_prob
+        return log_probs, state
+
+
+@pytest.mark.parametrize("path", ["batched", "per_example", "engine"])
+def test_stop_rule_never_rescores_the_finished_pool(path, monkeypatch):
+    """Scoring stays linear in the finished pool on every beam path: at most
+    one score per finish plus the final ranking. The stop rule used to
+    rescore the whole pool on every step, O(steps x pool) calls."""
+    max_length, beam_size = 40, 3
+    model = _GrowingPoolModel()
+    service = build_service(model=model)
+    request = GenerationRequest(
+        request_texts(1, seed=7)[0], request_id="r0",
+        beam_size=beam_size, max_length=max_length,
+    )
+    encoded = service.admit(request)
+    batch = pad_batch(collate([encoded], pad_id=PAD_ID), PAD_TO)
+    pool = batched_beam_search(model, batch, beam_size=beam_size, max_length=max_length)[0]
+    assert all(h.finished for h in pool)
+    assert len(pool) >= max_length  # the pool really grew with the steps
+
+    calls = []
+    score = Hypothesis.score
+
+    def counted(self, length_penalty):
+        calls.append(1)
+        return score(self, length_penalty)
+
+    monkeypatch.setattr(Hypothesis, "score", counted)
+    if path == "batched":
+        batched_beam_search(model, batch, beam_size=beam_size, max_length=max_length)
+    elif path == "per_example":
+        with no_grad():
+            beam_decode_example(
+                model, model.encode(batch), 0, beam_size=beam_size, max_length=max_length
+            )
+    else:
+        engine = build_engine(service)
+        outcomes = run_requests(engine, [request])
+        assert [o.status for o in outcomes] == ["served"]
+    assert len(calls) <= 2 * len(pool)
 
 
 # ----------------------------------------------------------------------
