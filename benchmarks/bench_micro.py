@@ -5,8 +5,9 @@ step (forward and forward+backward), the attention layer, a full ACNN
 training step, beam-search decode throughput (batched engine vs the
 per-example baseline, at batch sizes 1/8/32), and the corpus metrics.
 The decode-throughput comparison is also written to
-``results/decode_throughput.txt`` so regressions are visible in the
-committed artifacts.
+``results/decode_throughput.txt``, and the sequence-vs-step attention
+comparison to ``results/sequence_decoder_throughput.txt``, so regressions
+are visible in the committed artifacts.
 """
 
 import time
@@ -280,31 +281,37 @@ def test_acnn_loss_tape_node_count(benchmark, micro_setup):
         return profile
 
     profile = benchmark(profiled)
-    # Sentence-scale batch: the graph must stay well under ~10k nodes; the
-    # pre-fusion implementation was several times larger.
+    # Sentence-scale batch: the graph must stay well under ~10k nodes. The
+    # sequence-form loss builds 401 here (856 when attention, copy scores
+    # and gate ran once per step); the first per-step implementation was
+    # several times larger.
     assert profile.nodes < 10000
 
 
-def test_fusion_throughput_report(micro_setup, results_dir):
-    """Fused tape nodes (``lazy()``, i.e. ``TrainerConfig.fusion``) vs eager.
+def test_sequence_decoder_throughput_report(micro_setup, results_dir):
+    """Teacher-forced attention over all steps at once vs one step at a time.
 
-    Two configurations, both with gradients on — the only mode where
-    fusion is offered: the fused attention node forward + backward against
-    the elementary chain, and a full ACNN train step (loss, backward,
-    clip, SGD) through ``Trainer.train_batch`` with ``TrainerConfig.fusion``
-    off vs on. Results go to ``results/fusion_throughput.txt`` and the
-    repo-root ``BENCH_tensor_fusion.json``. Acceptance bar: >= 2x on at
-    least one configuration, with byte-identical training losses.
+    With no input feeding, training knows every decoder state once the
+    recurrence has run, so ``GlobalAttention.sequence`` attends for all of
+    them with batched matmuls; decoding calls ``GlobalAttention.forward``
+    once per step. The gated configuration: forward + backward of one
+    sequence call against 20 step calls (batch 16, 200 source positions,
+    encoder width 128, with padding), outputs checked equal. An
+    informational row times ``Trainer.train_batch`` (loss, backward, clip,
+    SGD) on the sentence-scale ACNN batch, whose loss uses the sequence
+    form. Results go to ``results/sequence_decoder_throughput.txt`` and
+    the repo-root ``BENCH_sequence_decoder.json``. Acceptance bar: >= 2x
+    on the attention configuration.
     """
     import copy
     import json
     import os
 
-    from repro.tensor import lazy
     from repro.training import Trainer, TrainerConfig
 
     model, dataset, batch = micro_setup
     rng = np.random.default_rng(0)
+    steps = 20
 
     def best_of(fn, repeats=5):
         timings = []
@@ -314,104 +321,95 @@ def test_fusion_throughput_report(micro_setup, results_dir):
             timings.append(time.perf_counter() - start)
         return min(timings)
 
-    configs = []
+    attention = GlobalAttention(64, 128, rng)
+    queries = Tensor(rng.standard_normal((16, steps, 64)), requires_grad=True)
+    states = Tensor(rng.standard_normal((16, 200, 128)), requires_grad=True)
+    mask = rng.random((16, 200)) < 0.2
+    mask[:, 0] = False
 
-    # --- micro: fused single-node attention, forward + backward ---------
-    # The whole score→mask→softmax→context chain as one tape node with a
-    # hand-written BLAS backward, vs ~12 elementary nodes each
-    # materializing (B, T, E) temporaries in both directions.
-    grad_attention = GlobalAttention(64, 128, rng)
-    gd = Tensor(rng.standard_normal((16, 64)), requires_grad=True)
-    gh = Tensor(rng.standard_normal((16, 200, 128)), requires_grad=True)
-    gmask = rng.random((16, 200)) < 0.2
-    gmask[:, 0] = False
+    def attention_grad(sequence):
+        if sequence:
+            context, weights = attention.sequence(queries, states, pad_mask=mask)
+            loss = context.sum() + weights.sum()
+        else:
+            loss = None
+            for k in range(steps):
+                context, weights = attention(queries[:, k, :], states, pad_mask=mask)
+                term = context.sum() + weights.sum()
+                loss = term if loss is None else loss + term
+        loss.backward()
+        grads = (queries.grad, states.grad, attention.weight.grad)
+        queries.zero_grad()
+        states.zero_grad()
+        attention.weight.zero_grad()
+        return loss.item(), grads
 
-    def attention_grad(fused):
-        for _ in range(20):
-            if fused:
-                with lazy():
-                    context, weights = grad_attention(gd, gh, pad_mask=gmask)
-            else:
-                context, weights = grad_attention(gd, gh, pad_mask=gmask)
-            (context.sum() + weights.sum()).backward()
-            gd.zero_grad()
-            gh.zero_grad()
-            grad_attention.weight.zero_grad()
+    step_loss, step_grads = attention_grad(False)
+    sequence_loss, sequence_grads = attention_grad(True)
+    assert np.isclose(sequence_loss, step_loss, rtol=1e-12)
+    for sequence_grad, step_grad in zip(sequence_grads, step_grads):
+        np.testing.assert_allclose(sequence_grad, step_grad, rtol=1e-9, atol=1e-12)
 
-    attention_grad(True)  # warm up both the kernel path and the allocator
-    attention_grad(False)
-    configs.append(
-        {
-            "name": "attention_grad_fused_node",
-            "detail": "batch=16 time=200 enc=128, 20 forward+backward steps",
-            "eager_seconds": best_of(lambda: attention_grad(False)),
-            "fused_seconds": best_of(lambda: attention_grad(True)),
-        }
+    step_seconds = best_of(lambda: attention_grad(False))
+    sequence_seconds = best_of(lambda: attention_grad(True))
+    attention_row = {
+        "name": "attention_grad",
+        "detail": f"batch=16 positions=200 enc=128 dec=64, {steps} steps, forward+backward",
+        "step_seconds": step_seconds,
+        "sequence_seconds": sequence_seconds,
+        "speedup": round(step_seconds / sequence_seconds, 2),
+    }
+
+    trainer = Trainer(
+        copy.deepcopy(model),
+        BatchIterator(dataset, batch_size=32, seed=0),
+        config=TrainerConfig(epochs=1),
     )
-
-    # --- end to end: one full train step, TrainerConfig.fusion off vs on
-    def trainer(fusion):
-        return Trainer(
-            copy.deepcopy(model),
-            BatchIterator(dataset, batch_size=32, seed=0),
-            config=TrainerConfig(epochs=1, fusion=fusion),
-        )
-
-    eager_trainer, fused_trainer = trainer(False), trainer(True)
-    eager_loss, _ = eager_trainer.train_batch(batch)
-    fused_loss, _ = fused_trainer.train_batch(batch)
-    assert eager_loss == fused_loss  # fused forward is byte-identical
     train_steps = 3
-    configs.append(
-        {
-            "name": "train_step",
-            "detail": (
-                f"acnn batch=32 hidden=48 layers=2, {train_steps} "
-                "Trainer.train_batch steps (loss+backward+clip+SGD)"
-            ),
-            "eager_seconds": best_of(
-                lambda: [eager_trainer.train_batch(batch) for _ in range(train_steps)]
-            ),
-            "fused_seconds": best_of(
-                lambda: [fused_trainer.train_batch(batch) for _ in range(train_steps)]
-            ),
-        }
-    )
-
-    for config in configs:
-        config["speedup"] = round(config["eager_seconds"] / config["fused_seconds"], 2)
+    train_row = {
+        "name": "train_step",
+        "detail": (
+            f"acnn batch=32 hidden=48 layers=2, {train_steps} "
+            "Trainer.train_batch steps (loss+backward+clip+SGD), informational"
+        ),
+        "sequence_seconds": best_of(
+            lambda: [trainer.train_batch(batch) for _ in range(train_steps)]
+        ),
+    }
 
     lines = [
-        "fused tape nodes (lazy(), TrainerConfig.fusion) vs eager, gradients on",
+        "teacher-forced attention: one sequence call vs per-step calls, gradients on",
         "best-of-5 wall clock per configuration",
         "",
-        f"{'config':<26} {'eager (s)':>10} {'fused (s)':>10} {'speedup':>8}",
+        f"{'config':<16} {'step (s)':>10} {'sequence (s)':>13} {'speedup':>8}",
+        f"{attention_row['name']:<16} {step_seconds:>10.4f} "
+        f"{sequence_seconds:>13.4f} {attention_row['speedup']:>7.2f}x",
+        f"{train_row['name']:<16} {'-':>10} {train_row['sequence_seconds']:>13.4f} "
+        f"{'-':>8}  (informational)",
     ]
-    for config in configs:
-        lines.append(
-            f"{config['name']:<26} {config['eager_seconds']:>10.4f} "
-            f"{config['fused_seconds']:>10.4f} {config['speedup']:>7.2f}x"
-        )
-    write_result(results_dir, "fusion_throughput.txt", "\n".join(lines) + "\n")
+    write_result(results_dir, "sequence_decoder_throughput.txt", "\n".join(lines) + "\n")
 
     report = {
-        "benchmark": "tensor_fusion",
+        "benchmark": "sequence_decoder",
         "description": (
-            "fused attention/pointer tape nodes with hand-written backwards "
-            "(lazy(), TrainerConfig.fusion) vs per-op eager dispatch, gradients on"
+            "GlobalAttention.sequence over all teacher-forced steps vs one "
+            "GlobalAttention.forward call per step, forward+backward"
         ),
-        "command": "PYTHONPATH=src python -m pytest benchmarks/bench_micro.py -k fusion_throughput",
+        "command": (
+            "PYTHONPATH=src python -m pytest benchmarks/bench_micro.py "
+            "-k sequence_decoder_throughput --benchmark-disable"
+        ),
         "timing": "best of 5",
-        "equivalence": "train-step loss byte-identical fusion on vs off",
-        "configs": configs,
-        "max_speedup": max(config["speedup"] for config in configs),
+        "equivalence": "loss rtol 1e-12, gradients rtol 1e-9 atol 1e-12, sequence vs step",
+        "configs": [attention_row, train_row],
+        "speedup": attention_row["speedup"],
     }
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(repo_root, "BENCH_tensor_fusion.json"), "w") as handle:
+    with open(os.path.join(repo_root, "BENCH_sequence_decoder.json"), "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
 
-    assert report["max_speedup"] >= 2.0, (
-        f"fusion must hit >= 2x on at least one config, best was "
-        f"{report['max_speedup']:.2f}x"
+    assert attention_row["speedup"] >= 2.0, (
+        f"the sequence form must be >= 2x the per-step attention, got "
+        f"{attention_row['speedup']:.2f}x"
     )

@@ -49,7 +49,6 @@ BLESSED = {Path("src/repro/nn/numerics.py")}
 #: np_stable_softmax, np_safe_*) are the only transcendental code paths.
 STRICT_FUSED = {
     Path("src/repro/nn/functional.py"),
-    Path("src/repro/tensor/lazy.py"),
 }
 
 WAIVER = "# numerics: ok"

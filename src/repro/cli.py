@@ -326,7 +326,6 @@ def _cmd_train(args) -> int:
         log_every=args.log_every,
         detect_anomaly=args.detect_anomaly,
         overflow_policy=args.overflow_policy,
-        fusion=args.fusion,
     )
     use_elastic = args.elastic or args.workers is not None
     if use_elastic:
@@ -767,16 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "seconds without a worker heartbeat before the supervisor "
             "declares it dead and re-shards its micro-batches"
-        ),
-    )
-    train.add_argument(
-        "--fusion",
-        action="store_true",
-        help=(
-            "run the training forward with fused attention and copy-score "
-            "tape nodes (TrainerConfig.fusion; also in --elastic workers): "
-            "fewer Python-level ops per decoder step and a faster backward; "
-            "losses match eager, gradients to rounding"
         ),
     )
     train.set_defaults(handler=_cmd_train)

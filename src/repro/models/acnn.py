@@ -18,7 +18,10 @@ ACNN extends the Du et al. attention model with Eqs. 2-4 of Section 3.2:
   scalar bias), and ``P_cop`` is the masked softmax of ``s`` over source
   positions; the probability of *word* w is the sum over positions holding
   w. This keeps Eq. 3's "softmax over the unique word set of the source"
-  semantics.
+  semantics. ``b_2`` shifts every score of a step equally, so the softmax
+  cancels it: its true gradient is 0, its computed gradient is rounding
+  noise, and training leaves it at its initial value up to that noise
+  (it is kept for fidelity to the printed equation).
 - **Eq. 4 (adaptive switch)**:
   ``z_k = sigmoid(W_d^T d_k + W_c^T c_k + W_s^T y_{k-1} + b)`` with
   ``y_{k-1}`` the embedding of the previous output token — the data-adaptive
@@ -26,6 +29,11 @@ ACNN extends the Du et al. attention model with Eqs. 2-4 of Section 3.2:
 
 For ablations, ``switch_mode`` can freeze the gate: ``"adaptive"`` (paper),
 ``"fixed"`` with a constant ``z`` (0 = pure attention, 1 = pure copy).
+
+With no input feeding, teacher-forced training knows every ``d_k`` once the
+decoder recurrence has run: :meth:`ACNN.loss` computes attention, Eq. 3,
+Eq. 4 and Eq. 2 for all steps at once (:meth:`ACNN.copy_sequence`,
+:meth:`GlobalAttention.sequence`). Decoding keeps the one-step forms.
 """
 
 from __future__ import annotations
@@ -40,10 +48,8 @@ from repro.models.du_attention import DuAttentionModel
 from repro.nn import Linear, Parameter, sequence_nll
 from repro.nn import init as nn_init
 from repro.nn.loss import PROBABILITY_FLOOR
-from repro.nn.functional import fused_pointer_probs
 from repro.nn.numerics import np_bernoulli_entropy, np_smoothed_log, saturating_sigmoid
 from repro.tensor.core import Tensor
-from repro.tensor.lazy import is_lazy_enabled
 from repro.tensor.ops import (
     concat,
     expand_dims,
@@ -143,21 +149,30 @@ class ACNN(DuAttentionModel):
     ) -> Tensor:
         """Eq. 3: ``P_cop`` over source positions, padding masked out."""
         projected = self.copy_projection(concat([d_k, c_k], axis=1))  # (B, enc_out)
-        if is_lazy_enabled():
-            # Lazy mode: the score→bias→mask→softmax chain runs as one
-            # fused tape node (byte-identical numpy sequence). The Linear
-            # stays eager so its parameters remain ordinary tape parents.
-            return fused_pointer_probs(
-                projected,
-                encoder_states,
-                self.copy_score_bias,
-                src_pad_mask,
-                mask_value=_MASK_VALUE,
-            )
         scores = (expand_dims(projected, 1) * encoder_states).sum(axis=2)  # (B, S)
         scores = scores + self.copy_score_bias
         scores = masked_fill(scores, src_pad_mask, _MASK_VALUE)
         return softmax(scores, axis=1)
+
+    def copy_sequence(
+        self,
+        features: Tensor,
+        encoder_states: Tensor,
+        src_pad_mask: np.ndarray,
+    ) -> Tensor:
+        """Eq. 3 for ``K`` steps at once: ``P_cop`` ``(B, K, S)``.
+
+        ``features`` holds the ``[d_k ; c_k]`` rows ``(B*K, hidden +
+        enc_out)`` in batch-major order (as
+        :meth:`~repro.models.du_attention.DuAttentionModel._decode_sequence`
+        returns them). Step ``k`` equals :meth:`copy_distribution` up to
+        rounding; the scores are one ``(B, K, E) @ (B, E, S)`` matmul.
+        """
+        batch, _, enc_size = encoder_states.shape
+        projected = self.copy_projection(features).reshape(batch, -1, enc_size)
+        scores = projected @ encoder_states.transpose((0, 2, 1)) + self.copy_score_bias
+        scores = masked_fill(scores, src_pad_mask[:, None, :], _MASK_VALUE)
+        return softmax(scores, axis=2)
 
     def _extended_mixture(
         self,
@@ -204,6 +219,9 @@ class ACNN(DuAttentionModel):
     def switch(self, d_k: Tensor, c_k: Tensor, y_prev_embedded: Tensor) -> Tensor:
         """Eq. 4: the adaptive copy/generate gate ``z_k`` in (0, 1).
 
+        Takes one step (``(B, .)`` inputs, ``(B,)`` gate) or a stack of
+        steps (``(B, K, .)`` inputs, ``(B, K)`` gate).
+
         The adaptive gate is computed with a saturation guard: a gate that
         returns exactly 0 or 1 multiplies one branch of the Eq. 2 mixture
         by exact zero, which kills both the probability and the gradient
@@ -212,83 +230,81 @@ class ACNN(DuAttentionModel):
         pure-attention / pure-copy ablation.)
         """
         if self.switch_mode == "fixed":
-            return Tensor(np.full((d_k.shape[0],), self.fixed_switch))
+            return Tensor(np.full(d_k.shape[:-1], self.fixed_switch))
         logit = (
             d_k @ self.switch_d
             + c_k @ self.switch_c
             + y_prev_embedded @ self.switch_y
             + self.switch_bias
         )
-        return saturating_sigmoid(logit)  # (B,), in [eps, 1 - eps]
+        return saturating_sigmoid(logit)  # (B,) or (B, K), in [eps, 1 - eps]
 
     # ------------------------------------------------------------------
     # Training (Eq. 1/2: maximize the mixture likelihood of gold tokens)
     # ------------------------------------------------------------------
     def loss(self, batch: Batch) -> Tensor:
         context = self.encode(batch)
-        states = list(context.initial_states)
         embedded = self.decoder_embedding(batch.tgt_input)
         time_steps = batch.tgt_input.shape[1]
         valid = ~batch.tgt_pad_mask
-
-        coverage: Tensor | None = None
-        if self.use_coverage:
-            coverage = Tensor(np.zeros((batch.size, batch.src.shape[1])))
-        coverage_penalty: Tensor | None = None
 
         # Scheduled sampling (Bengio et al. 2015, extension): with some
         # probability feed the model's previous prediction instead of the
         # gold token, shrinking the train/inference exposure gap.
         sampling = self.training and self.scheduled_sampling_rate > 0.0
+        # Sampling and coverage feed step k into step k + 1, so they run
+        # the sequence form over one-step windows; plain teacher forcing
+        # runs it once over all steps.
+        width = 1 if sampling or self.use_coverage else time_steps
+
+        states = list(context.initial_states)
+        coverage: Tensor | None = None
+        if self.use_coverage:
+            coverage = Tensor(np.zeros((batch.size, 1, batch.src.shape[1])))
+        coverage_penalty: Tensor | None = None
         prev_predictions: np.ndarray | None = None
+        window_probs: list[Tensor] = []
+        gate_values: list[np.ndarray] = []
 
-        gate_z_sum = gate_entropy_sum = gate_copy_sum = 0.0
-        gate_tokens = 0
-
-        step_probs: list[Tensor] = []
-        for t in range(time_steps):
-            if sampling and t > 0:
+        for start in range(0, time_steps, width):
+            window = slice(start, start + width)
+            if sampling and start > 0:
                 use_model = self._sampling_rng.random(batch.size) < self.scheduled_sampling_rate
-                input_ids = np.where(use_model, prev_predictions, batch.tgt_input[:, t])
-                x_t = self.decoder_embedding(input_ids)
+                input_ids = np.where(use_model, prev_predictions, batch.tgt_input[:, start])
+                x = self.decoder_embedding(input_ids[:, None])
             else:
-                x_t = embedded[:, t, :]
-            d_k, c_k, attn, logits, states = self._decode_step(
-                x_t, states, context.encoder_states, context.src_pad_mask, coverage=coverage
+                x = embedded[:, window, :]
+            d, states = self._decoder_outputs(x, states)
+            c, attn, features, logits = self._decode_sequence(
+                d, context.encoder_states, context.src_pad_mask, coverage=coverage
             )
-            p_att = softmax(logits, axis=-1)  # (B, V)
-            p_att_target = gather_rows(p_att, batch.tgt_output[:, t])
+            targets = batch.tgt_output[:, window]
+            p_att = softmax(logits, axis=-1)  # (B*K, V)
+            p_att_target = gather_rows(p_att, targets.reshape(-1)).reshape(targets.shape)
             # Zero out the generation path where it may not explain the
             # token (decoder-OOV but copyable: only the copy path counts).
-            p_att_target = p_att_target * Tensor(batch.att_allowed[:, t])
+            p_att_target = p_att_target * Tensor(batch.att_allowed[:, window])
 
-            p_cop = self.copy_distribution(d_k, c_k, context.encoder_states, context.src_pad_mask)
-            p_cop_target = (p_cop * Tensor(batch.copy_match[:, t, :])).sum(axis=1)
+            p_cop = self.copy_sequence(features, context.encoder_states, context.src_pad_mask)
+            p_cop_target = (p_cop * Tensor(batch.copy_match[:, window, :])).sum(axis=2)
 
-            z = self.switch(d_k, c_k, x_t)
-            mixture = z * p_cop_target + (1.0 - z) * p_att_target  # Eq. 2
-            step_probs.append(mixture)
-
+            z = self.switch(d, c, x)  # (B, K)
+            window_probs.append(z * p_cop_target + (1.0 - z) * p_att_target)  # Eq. 2
             if self.collect_gate_stats:
-                mask = valid[:, t]
-                z_values = z.data[mask]
-                gate_z_sum += float(z_values.sum())
-                gate_entropy_sum += float(np_bernoulli_entropy(z_values).sum())
-                gate_copy_sum += float((z_values > 0.5).sum())
-                gate_tokens += int(mask.sum())
+                gate_values.append(z.data[valid[:, window]])
 
             if sampling:
                 # The next step may feed this step's greedy pick from the
                 # Eq. 2 mixture (OOV copies feed back as UNK, matching the
                 # inference contract).
                 prev_predictions = self.sampled_feedback(
-                    p_att.data, p_cop.data, z.data, context.src_ext, context.max_oov
+                    p_att.data, p_cop.data[:, 0], z.data[:, 0], context.src_ext, context.max_oov
                 )
 
             if coverage is not None:
                 # Coverage loss (See et al. 2017): penalize re-attending.
-                overlap = minimum(attn, coverage).sum(axis=1)
-                step_penalty = (overlap * Tensor(valid[:, t].astype(float))).sum()
+                overlap = minimum(attn, coverage).sum(axis=2)
+                step_penalty = (overlap * Tensor(valid[:, window].astype(float))).sum()
                 coverage_penalty = (
                     step_penalty if coverage_penalty is None else coverage_penalty + step_penalty
                 )
@@ -297,11 +313,16 @@ class ACNN(DuAttentionModel):
         if self.collect_gate_stats:
             from repro.observability import gate_statistics
 
+            z_values = np.concatenate(gate_values)
             self.last_gate_stats = gate_statistics(
-                gate_z_sum, gate_entropy_sum, gate_copy_sum, gate_tokens
+                float(z_values.sum()),
+                float(np_bernoulli_entropy(z_values).sum()),
+                float((z_values > 0.5).sum()),
+                int(z_values.size),
             )
 
-        nll = sequence_nll(step_probs, batch.tgt_output, batch.tgt_pad_mask)
+        probs = window_probs[0] if len(window_probs) == 1 else concat(window_probs, axis=1)
+        nll = sequence_nll(probs, batch.tgt_output, batch.tgt_pad_mask)
         if coverage_penalty is not None and self.coverage_loss_weight > 0:
             total_tokens = float(valid.sum())
             nll = nll + coverage_penalty * (self.coverage_loss_weight / total_tokens)  # numerics: ok — total_tokens > 0 enforced by sequence_nll

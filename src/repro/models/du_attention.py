@@ -28,9 +28,10 @@ from repro.models.base import (
 )
 from repro.models.config import ModelConfig
 from repro.nn import BidirectionalLSTM, Dropout, Embedding, GlobalAttention, Linear, LSTM
+from repro.nn.loss import cross_entropy
 from repro.nn.lstm import State
 from repro.tensor.core import Tensor
-from repro.tensor.ops import concat, gather_rows, log_softmax, tanh
+from repro.tensor.ops import concat, log_softmax, stack, tanh
 
 __all__ = ["DuAttentionModel"]
 
@@ -147,25 +148,61 @@ class DuAttentionModel(QuestionGenerator):
         return d_k, c_k, attn_weights, logits, new_states
 
     # ------------------------------------------------------------------
-    # Training
+    # Teacher-forced form (training): the same layers over all steps
     # ------------------------------------------------------------------
+    def _decoder_outputs(
+        self, inputs: Tensor, states: list[State]
+    ) -> tuple[Tensor, list[State]]:
+        """Run the decoder recurrence over ``(B, K, embedding)`` inputs.
+
+        One :meth:`LSTM.step` per step, so the inter-layer dropout draws
+        its masks in step order. Returns the stacked top-layer outputs
+        ``d`` ``(B, K, hidden)`` and the final per-layer states.
+        """
+        outputs = []
+        for k in range(inputs.shape[1]):
+            d_k, states = self.decoder.step(inputs[:, k, :], states)
+            outputs.append(d_k)
+        return stack(outputs, axis=1), states
+
+    def _decode_sequence(
+        self,
+        d: Tensor,
+        encoder_states: Tensor,
+        src_pad_mask: np.ndarray,
+        coverage: Tensor | None = None,
+    ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+        """Everything of :meth:`_decode_step` after the recurrence, for the
+        ``K`` stacked decoder outputs ``d`` ``(B, K, hidden)`` at once.
+
+        The decoder has no input feeding, so nothing here feeds the next
+        step: attention, readout and output projection run as ``(B*K, .)``
+        matmuls. The output dropout draws its masks in step order, as ``K``
+        calls of :meth:`_decode_step` would. Returns ``(c, attention,
+        features, logits)``: ``c`` ``(B, K, enc_out)``, ``attention``
+        ``(B, K, S)``, ``features`` the ``[d_k ; c_k]`` rows
+        ``(B*K, hidden + enc_out)`` and ``logits`` ``(B*K, V)``, rows in
+        batch-major order.
+        """
+        batch, steps, hidden = d.shape
+        c, attention = self.attention.sequence(
+            d, encoder_states, pad_mask=src_pad_mask, coverage=coverage
+        )
+        features = concat([d, c], axis=2).reshape(batch * steps, -1)
+        readout = tanh(self.readout(features)).reshape(batch, steps, hidden)
+        readout = self.output_dropout(readout, step_axis=1)
+        logits = self.output_projection(readout.reshape(batch * steps, hidden))
+        return c, attention, features, logits
+
     def loss(self, batch: Batch) -> Tensor:
         context = self.encode(batch)
-        states = list(context.initial_states)
-        embedded = self.decoder_embedding(batch.tgt_input)
-        time_steps = batch.tgt_input.shape[1]
-        valid = ~batch.tgt_pad_mask
-
-        total = None
-        for t in range(time_steps):
-            _, _, _, logits, states = self._decode_step(
-                embedded[:, t, :], states, context.encoder_states, context.src_pad_mask
-            )
-            log_probs = log_softmax(logits, axis=-1)
-            picked = gather_rows(log_probs, batch.tgt_output[:, t])
-            weighted = (picked * Tensor(valid[:, t].astype(float))).sum()
-            total = weighted if total is None else total + weighted
-        return -total * (1.0 / float(valid.sum()))
+        d, _ = self._decoder_outputs(
+            self.decoder_embedding(batch.tgt_input), list(context.initial_states)
+        )
+        *_, logits = self._decode_sequence(d, context.encoder_states, context.src_pad_mask)
+        return cross_entropy(
+            logits, batch.tgt_output.reshape(-1), mask=~batch.tgt_pad_mask.reshape(-1)
+        )
 
     # ------------------------------------------------------------------
     # Decoding

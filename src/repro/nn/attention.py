@@ -9,6 +9,12 @@ The attention-based encoding of the input at decoding step ``k`` is
 where ``d_k`` is the decoder hidden state and ``h_t`` the (bidirectional)
 encoder state at source position ``t``. Padding positions are excluded from
 the softmax via a mask.
+
+:meth:`GlobalAttention.forward` attends for one decoding step (the form
+decoding drives); :meth:`GlobalAttention.sequence` attends for every step
+of a ``(B, K, decoder_size)`` stack of decoder states at once, as batched
+matmuls. The decoder takes no input feeding, so teacher-forced training
+knows every ``d_k`` once the recurrence has run and uses the sequence form.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ import numpy as np
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 from repro.tensor.core import Tensor
-from repro.tensor.lazy import is_lazy_enabled
 from repro.tensor.ops import expand_dims, masked_fill, softmax, tanh
 
 __all__ = ["GlobalAttention"]
@@ -94,27 +99,45 @@ class GlobalAttention(Module):
             ``weights`` is ``(B, T)`` (``a_{k,t}``), summing to one over the
             non-padded positions.
         """
-        if coverage is None and is_lazy_enabled():
-            # Lazy mode: the whole score→mask→softmax→context chain runs as
-            # one fused tape node (byte-identical numpy sequence). Coverage
-            # mixes a history tensor into the scores and keeps the
-            # elementary-op path below.
-            from repro.nn.functional import fused_attention
+        weights = self._normalize(
+            self.scores(decoder_state, encoder_states), pad_mask, coverage
+        )
+        context = (expand_dims(weights, 2) * encoder_states).sum(axis=1)
+        return context, weights
 
-            return fused_attention(
-                decoder_state,
-                encoder_states,
-                self.weight,
-                pad_mask=pad_mask,
-                mask_value=_MASK_VALUE,
-            )
-        scores = self.scores(decoder_state, encoder_states)
+    def sequence(
+        self,
+        decoder_states: Tensor,
+        encoder_states: Tensor,
+        pad_mask: np.ndarray | None = None,
+        coverage: Tensor | None = None,
+    ) -> tuple[Tensor, Tensor]:
+        """:meth:`forward` for ``K`` decoder steps at once.
+
+        ``decoder_states`` is ``(B, K, decoder_size)``; ``pad_mask`` stays
+        ``(B, T)`` and ``coverage`` is ``(B, K, T)``. Returns the contexts
+        ``(B, K, encoder_size)`` and weights ``(B, K, T)``; step ``k``
+        equals :meth:`forward` on ``decoder_states[:, k]`` up to rounding.
+        One ``(B*K, decoder_size) @ W_h`` and two batched matmuls replace
+        the step form's ``(B, T, encoder_size)`` broadcast products.
+        """
+        batch, steps, _ = decoder_states.shape
+        projected = (
+            decoder_states.reshape(batch * steps, self.decoder_size) @ self.weight
+        ).reshape(batch, steps, self.encoder_size)
+        scores = tanh(projected @ encoder_states.transpose((0, 2, 1)))  # (B, K, T)
+        mask = pad_mask[:, None, :] if pad_mask is not None else None
+        weights = self._normalize(scores, mask, coverage)
+        return weights @ encoder_states, weights
+
+    def _normalize(
+        self, scores: Tensor, pad_mask: np.ndarray | None, coverage: Tensor | None
+    ) -> Tensor:
+        """Coverage term, pad mask and softmax over source positions."""
         if coverage is not None:
             if self.coverage_weight is None:
                 raise ValueError("attention layer was built without use_coverage=True")
             scores = scores + coverage * self.coverage_weight
         if pad_mask is not None:
             scores = masked_fill(scores, pad_mask, _MASK_VALUE)
-        weights = softmax(scores, axis=1)
-        context = (expand_dims(weights, 2) * encoder_states).sum(axis=1)
-        return context, weights
+        return softmax(scores, axis=-1)

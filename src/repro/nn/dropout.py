@@ -25,8 +25,10 @@ class Dropout(Module):
         self.p = p
         self._rng = np.random.default_rng(seed)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return dropout(x, self.p, self._rng, training=self.training)
+    def forward(self, x: Tensor, step_axis: int | None = None) -> Tensor:
+        """``step_axis``: draw the masks of a sequence in per-step order
+        (see :func:`repro.tensor.ops.dropout`)."""
+        return dropout(x, self.p, self._rng, training=self.training, step_axis=step_axis)
 
     def __repr__(self) -> str:
         return f"Dropout(p={self.p})"

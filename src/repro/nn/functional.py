@@ -19,15 +19,7 @@ Two variants:
 Gate layout in the fused weights is ``[input, forget, cell, output]``,
 matching :class:`repro.nn.lstm.LSTMCell`.
 
-Lazy mode (:mod:`repro.tensor.lazy`, switched on for training by
-``TrainerConfig.fusion``) extends the same idea one level up:
-:func:`fused_attention` collapses the attention score→mask→softmax→context
-chain (~10 tape ops in :class:`repro.nn.attention.GlobalAttention`) into
-one node with a hand-written backward, and :func:`fused_pointer_probs`
-does the same for the ACNN Eq. 3 copy-score chain. The elementary-op
-formulations stay as the reference each kernel is tested against.
-
-Every kernel performs the same numpy operations in the same order as its
+The kernels perform the same numpy operations in the same order as the
 elementary-op formulation, so forward outputs are byte-identical; the
 transcendentals route through :mod:`repro.nn.numerics` so the
 byte-identity and NaN-propagation contracts hold (and
@@ -39,14 +31,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.numerics import np_fast_sigmoid, np_stable_softmax
+from repro.nn.numerics import np_fast_sigmoid
 from repro.tensor.core import Tensor
 
 __all__ = [
     "lstm_cell_step",
     "lstm_cell_step_preprojected",
-    "fused_attention",
-    "fused_pointer_probs",
 ]
 
 
@@ -160,124 +150,3 @@ def lstm_cell_step_preprojected(
 
     parents = (x_projected, h_prev, c_prev, weight_hh)
     return _fused_core(gates, h_prev, c_prev, weight_hh, parents, input_backward)
-
-
-# ----------------------------------------------------------------------
-# Fused attention / pointer-score chains
-# ----------------------------------------------------------------------
-def fused_attention(
-    decoder_state: Tensor,
-    encoder_states: Tensor,
-    weight: Tensor,
-    pad_mask: np.ndarray | None = None,
-    mask_value: float = -1e9,
-) -> tuple[Tensor, Tensor]:
-    """The whole global-attention chain as ONE tape node.
-
-    Computes, exactly as :class:`repro.nn.attention.GlobalAttention` does
-    with elementary ops (same numpy calls, same order — byte-identical
-    outputs)::
-
-        projected = decoder_state @ weight              # (B, E)
-        scores    = tanh((projected[:,None,:] * enc).sum(2))   # (B, T)
-        scores[pad] = mask_value
-        weights   = softmax(scores, axis=1)             # stable kernel
-        context   = (weights[:,:,None] * enc).sum(1)    # (B, E)
-
-    Under gradients this is a single node whose packed output is
-    ``[context ; weights]`` along axis 1, split by two basic slices;
-    the hand-written backward is gradcheck-pinned against the eager
-    chain.
-
-    Coverage-mode attention is NOT expressible here (it mixes an
-    accumulated history tensor into the scores); callers keep the
-    elementary-op path for that case.
-    """
-    d = decoder_state.data
-    enc = encoder_states.data
-    W = weight.data
-    enc_size = enc.shape[2]
-
-    projected = d @ W  # (B, E)
-    raw = (projected[:, None, :] * enc).sum(axis=2)  # (B, T)
-    tanh_scores = np.tanh(raw)
-    if pad_mask is not None:
-        scores = np.where(pad_mask, mask_value, tanh_scores)
-    else:
-        scores = tanh_scores
-    weights_np = np_stable_softmax(scores, axis=1)
-    context_np = (weights_np[:, :, None] * enc).sum(axis=1)  # (B, E)
-
-    out_data = np.concatenate([context_np, weights_np], axis=1)
-
-    def backward(d_out: np.ndarray) -> None:
-        d_ctx = d_out[:, :enc_size]
-        d_weights = d_out[:, enc_size:].copy()
-        # context = sum_t weights_t * enc_t  (batched GEMM beats einsum here)
-        d_weights += np.matmul(enc, d_ctx[:, :, None])[:, :, 0]
-        d_enc = weights_np[:, :, None] * d_ctx[:, None, :] if encoder_states.requires_grad else None
-        # softmax backward (matches ops.softmax)
-        inner = (d_weights * weights_np).sum(axis=1, keepdims=True)
-        d_scores = weights_np * (d_weights - inner)
-        # masked_fill backward: no gradient into padded positions
-        if pad_mask is not None:
-            d_scores = d_scores * ~pad_mask
-        # tanh backward
-        d_raw = d_scores * (1.0 - tanh_scores * tanh_scores)
-        if encoder_states.requires_grad:
-            d_enc += d_raw[:, :, None] * projected[:, None, :]
-            encoder_states._accumulate_grad(d_enc)
-        d_proj = np.matmul(d_raw[:, None, :], enc)[:, 0, :]
-        if decoder_state.requires_grad:
-            decoder_state._accumulate_grad(d_proj @ W.T)
-        if weight.requires_grad:
-            weight._accumulate_grad(d.T @ d_proj)
-
-    parents = (decoder_state, encoder_states, weight)
-    out = Tensor._from_op(out_data, parents, backward)
-    return out[:, :enc_size], out[:, enc_size:]
-
-
-def fused_pointer_probs(
-    projected: Tensor,
-    encoder_states: Tensor,
-    score_bias: Tensor,
-    pad_mask: np.ndarray,
-    mask_value: float = -1e9,
-) -> Tensor:
-    """The ACNN Eq. 3 pointer score→mask→softmax chain as ONE tape node.
-
-    ``projected`` is the copy projection ``V [d_k ; c_k] + b_1`` (kept as
-    an eager Linear so its parameters stay ordinary tape parents);
-    this kernel fuses the rest, byte-identical to the elementary chain::
-
-        scores = (projected[:,None,:] * enc).sum(2) + score_bias  # (B, S)
-        scores[pad] = mask_value
-        probs  = softmax(scores, axis=1)
-
-    Like :func:`fused_attention`, one tape node under gradients with a
-    hand-written backward.
-    """
-    p = projected.data
-    enc = encoder_states.data
-
-    raw = (p[:, None, :] * enc).sum(axis=2)  # (B, S)
-    scores = raw + score_bias.data
-    masked = np.where(pad_mask, mask_value, scores)
-    probs_np = np_stable_softmax(masked, axis=1)
-
-    def backward(d_probs: np.ndarray) -> None:
-        # softmax backward (matches ops.softmax)
-        inner = (d_probs * probs_np).sum(axis=1, keepdims=True)
-        d_scores = probs_np * (d_probs - inner)
-        # masked_fill backward
-        d_scores = d_scores * ~pad_mask
-        if score_bias.requires_grad:
-            score_bias._accumulate_grad(d_scores)
-        if encoder_states.requires_grad:
-            encoder_states._accumulate_grad(d_scores[:, :, None] * p[:, None, :])
-        if projected.requires_grad:
-            projected._accumulate_grad(np.matmul(d_scores[:, None, :], enc)[:, 0, :])
-
-    parents = (projected, encoder_states, score_bias)
-    return Tensor._from_op(probs_np, parents, backward)

@@ -49,7 +49,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None =
 
 
 def sequence_nll(
-    step_probs: list[Tensor],
+    probs: Tensor,
     targets: np.ndarray,
     pad_mask: np.ndarray,
 ) -> Tensor:
@@ -60,30 +60,24 @@ def sequence_nll(
 
     Parameters
     ----------
-    step_probs:
-        List of ``(B,)`` tensors, the model probability assigned to the gold
-        token at each decoding step.
+    probs:
+        ``(B, T)`` tensor, the model probability assigned to the gold token
+        at each decoding step.
     targets:
         ``(B, T)`` gold token ids (only used for shape validation).
     pad_mask:
         ``(B, T)`` boolean array, True at padding positions (excluded).
     """
     targets = np.asarray(targets)
-    if targets.shape[1] != len(step_probs):
+    if probs.shape != targets.shape:
         raise ValueError(
-            f"got {len(step_probs)} step probabilities for target length {targets.shape[1]}"
+            f"got step probabilities of shape {probs.shape} for targets {targets.shape}"
         )
     valid = ~np.asarray(pad_mask, dtype=bool)
     total_tokens = valid.sum()
     if total_tokens == 0:
         raise ValueError("sequence_nll: every target position is padding")
 
-    loss_terms = []
-    for k, prob in enumerate(step_probs):
-        log_p = safe_log(prob, floor=PROBABILITY_FLOOR, ceiling=1.0)
-        weight = Tensor(valid[:, k].astype(float))
-        loss_terms.append((log_p * weight).sum())
-    total = loss_terms[0]
-    for term in loss_terms[1:]:
-        total = total + term
+    log_p = safe_log(probs, floor=PROBABILITY_FLOOR, ceiling=1.0)
+    total = (log_p * Tensor(valid.astype(float))).sum()
     return -total * (1.0 / float(total_tokens))

@@ -10,6 +10,15 @@ The design mirrors the usual define-by-run autograd pattern: each operation
 produces a new :class:`Tensor` holding references to its parents and a closure
 that propagates the output gradient to them. Calling :meth:`Tensor.backward`
 performs a topological sort of the recorded graph and accumulates gradients.
+
+The mode switches (``_GRAD_ENABLED`` here, ``_PROFILES`` and ``_ANOMALY``
+below) are module-level state, which is safe because every consumer — the
+trainer, the decoding engines and the serving layer — runs tape code on one
+thread per process. They are exception-safe and reentrant: state is saved
+per *entry*, not per instance, so nested contexts (including one reused
+``no_grad`` instance) restore correctly. A multi-process worker pool gets
+a fresh set per process; sharing one process between concurrent tape users
+would need thread-locals and is out of contract.
 """
 
 from __future__ import annotations
@@ -432,6 +441,12 @@ class Tensor:
                 if self.data.ndim == 1:
                     # (n,) @ (n, k) -> (k,)
                     other._accumulate_grad(np.outer(self.data, grad))
+                elif other.data.ndim == 1:
+                    # (..., n) @ (n,): sum over every leading axis. (For a
+                    # 3+-D left operand, swapaxes(self) @ grad would read
+                    # grad as a matrix stack and fail.)
+                    rows = self.data.reshape(-1, self.data.shape[-1])
+                    other._accumulate_grad(rows.T @ grad.reshape(-1))
                 else:
                     grad_other = np.swapaxes(self.data, -1, -2) @ grad
                     other._accumulate_grad(grad_other)

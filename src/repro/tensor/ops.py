@@ -301,7 +301,13 @@ def max_(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     return Tensor._from_op(out_data, (x,), backward)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
+def dropout(
+    x: Tensor,
+    p: float,
+    rng: np.random.Generator,
+    training: bool = True,
+    step_axis: int | None = None,
+) -> Tensor:
     """Inverted dropout: zero activations with probability ``p`` during training.
 
     The surviving activations are scaled by ``1 / (1 - p)`` so the expected
@@ -314,12 +320,22 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
     object, and :class:`~repro.tensor.profiler.TapeProfile` node counts
     differed between train (``p > 0``: one node) and eval / ``p == 0``
     graphs (zero nodes) for the same model.
+
+    ``step_axis`` draws the mask the way one call per index of that axis
+    would, in index order: a layer run over all steps of a sequence at
+    once keeps the masks, and the generator's stream, of its per-step form.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return _identity(x)
-    keep = (rng.random(x.data.shape) >= p) / (1.0 - p)  # numerics: ok — dropout validates p < 1
+    shape = x.data.shape
+    if step_axis is None:
+        draws = rng.random(shape)
+    else:
+        steps_first = (shape[step_axis],) + shape[:step_axis] + shape[step_axis + 1:]
+        draws = np.moveaxis(rng.random(steps_first), 0, step_axis)
+    keep = (draws >= p) / (1.0 - p)  # numerics: ok — dropout validates p < 1
     out_data = x.data * keep
 
     def backward(grad: np.ndarray) -> None:

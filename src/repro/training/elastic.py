@@ -47,7 +47,7 @@ import threading
 import time
 import traceback
 from collections import deque
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Callable, Mapping, Sequence
@@ -72,7 +72,6 @@ from repro.observability import (
 from repro.optim import SGD, HalveAtEpoch, NonFiniteGradError, clip_grad_norm
 from repro.optim.optimizers import Optimizer
 from repro.optim.schedules import Schedule
-from repro.tensor.lazy import lazy
 from repro.training.history import EpochRecord, RecoveryEvent, TrainingHistory
 from repro.training.resilience import ResilienceConfig, SnapshotStore
 from repro.training.sharding import (
@@ -224,23 +223,19 @@ def compute_microbatch(
     slot: int,
     indices: Sequence[int],
     pad_id: int = 0,
-    fusion: bool = False,
 ) -> tuple[list[np.ndarray], float, int, float]:
     """Forward/backward one micro-batch; returns (grads, loss_sum, tokens, seconds).
 
     Deterministic in ``(parameters, run_seed, epoch, slot)``: the model's
     RNG streams are reseeded for the slot first, so a worker, a restarted
     worker, and the coordinator's inline fallback all produce identical
-    bytes for the same micro-batch. ``fusion`` runs the forward inside
-    :class:`~repro.tensor.lazy.lazy`, as ``TrainerConfig.fusion`` does for
-    the single-process trainer.
+    bytes for the same micro-batch.
     """
     start = time.perf_counter()
     reseed_model_rngs(model, run_seed, epoch, slot)
     model.train()
     batch: Batch = collate([examples[i] for i in indices], pad_id=pad_id)
-    with lazy() if fusion else nullcontext():
-        loss = model.loss(batch)
+    loss = model.loss(batch)
     loss_value = loss.item()
     if math.isfinite(loss_value):
         loss.backward()
@@ -275,7 +270,6 @@ def _worker_main(
     examples: Sequence[EncodedExample],
     run_seed: int,
     pad_id: int,
-    fusion: bool,
     heartbeat_interval: float,
     fault_plan: WorkerFaultPlan | None,
 ) -> None:
@@ -329,7 +323,7 @@ def _worker_main(
                     time.sleep(_STALL_SECONDS)
                     continue
                 grads, loss_sum, tokens, seconds = compute_microbatch(
-                    model, examples, run_seed, epoch, slot, indices, pad_id, fusion
+                    model, examples, run_seed, epoch, slot, indices, pad_id
                 )
                 if action == "corrupt":
                     grads[0] = grads[0].copy()
@@ -500,7 +494,6 @@ class ElasticTrainer:
                 self.examples,
                 self.run_seed,
                 self.pad_id,
-                self.config.fusion,
                 self.elastic.heartbeat_interval,
                 fault_plan,
             ),
@@ -769,7 +762,7 @@ class ElasticTrainer:
                 item_epoch, slot, indices = pending.popleft()
                 grads, loss_sum, tokens, seconds = compute_microbatch(
                     self.model, self.examples, self.run_seed,
-                    item_epoch, slot, indices, self.pad_id, self.config.fusion,
+                    item_epoch, slot, indices, self.pad_id,
                 )
                 if not _contribution_finite(grads, loss_sum):
                     self._record_nonfinite(slot, nan_counts, fatal=True)

@@ -40,7 +40,6 @@ from repro.optim.optimizers import Optimizer
 from repro.optim.schedules import Schedule
 from repro.tensor.anomaly import NumericalAnomaly, detect_anomaly
 from repro.tensor.core import no_grad
-from repro.tensor.lazy import lazy
 from repro.training.history import EpochRecord, RecoveryEvent, TrainingHistory
 from repro.training.overflow import BatchQuarantined, DynamicLossScaler, OverflowPolicy
 from repro.training.resilience import (
@@ -148,15 +147,6 @@ class TrainerConfig:
     """Under ``"skip"``: escalate to :class:`TrainingDiverged` after this
     many consecutive quarantined batches — a model that cannot produce a
     finite step anymore has diverged."""
-    fusion: bool = False
-    """Run the forward pass inside :class:`repro.tensor.lazy.lazy`: each
-    decoder step's attention and copy-score chains collapse into single
-    fused tape nodes (byte-identical forward, gradcheck-pinned backward)
-    instead of ~15 elementary ops. The elastic runtime applies it in every
-    worker and in the inline fallback. Off by default: the fused backward
-    sums in a different order, so trained parameters differ from eager in
-    the last bits. This is the only fusion switch (``acnn train
-    --fusion``); decoding always runs eager."""
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -286,9 +276,8 @@ class Trainer:
         self.model.train()
         scaler = self.loss_scaler
         anomaly_guard = detect_anomaly() if self.config.detect_anomaly else nullcontext()
-        fusion_guard = lazy() if self.config.fusion else nullcontext()
         try:
-            with anomaly_guard, fusion_guard:
+            with anomaly_guard:
                 with telemetry.span("forward"):
                     loss = self.model.loss(batch)
                 loss_value = loss.item()

@@ -1,158 +1,22 @@
-"""Fused attention / pointer / LSTM kernels: gradchecks against numerical
-gradients and byte-identity fuzzing against the elementary-op formulation,
-with gradients on and under ``lazy() + no_grad``. (Some test names keep the
-word "arena" from a removed no-grad buffer-replay tier; they now check the
-fused kernels under ``lazy() + no_grad``.)"""
+"""Fused LSTM cell kernel: byte identity between the fused node built
+with gradients on and under ``no_grad``, agreement with the elementary-op
+reference, and one tape node per step. (The test names keep the word "arena" from a removed no-grad
+buffer-replay tier.)"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.attention import GlobalAttention
-from repro.nn.functional import (
-    fused_attention,
-    fused_pointer_probs,
-    lstm_cell_step,
-)
 from repro.nn.lstm import LSTMCell
 from repro.tensor import Tensor, no_grad
-from repro.tensor.gradcheck import check_gradients
-from repro.tensor.lazy import lazy
-from repro.tensor.ops import expand_dims, masked_fill, softmax
 
 dims = st.integers(2, 5)
 seeds = st.integers(0, 10_000)
 
 
-def _attention_inputs(batch, time, dec, enc, seed, with_mask=True):
-    rng = np.random.default_rng(seed)
-    d = Tensor(rng.standard_normal((batch, dec)), requires_grad=True)
-    states = Tensor(rng.standard_normal((batch, time, enc)), requires_grad=True)
-    weight = Tensor(rng.standard_normal((dec, enc)) * 0.5, requires_grad=True)
-    if with_mask and time > 1:
-        mask = rng.random((batch, time)) < 0.3
-        mask[:, 0] = False  # never fully masked
-    else:
-        mask = None
-    return d, states, weight, mask
-
-
-def _eager_attention_chain(d, states, weight, mask):
-    from repro.tensor.ops import tanh
-
-    projected = d @ weight
-    scores = tanh((expand_dims(projected, 1) * states).sum(axis=2))
-    if mask is not None:
-        scores = masked_fill(scores, mask, -1e9)
-    weights = softmax(scores, axis=1)
-    context = (expand_dims(weights, 2) * states).sum(axis=1)
-    return context, weights
-
-
 # ---------------------------------------------------------------------------
-# fused_attention
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("with_mask", [False, True])
-def test_fused_attention_gradcheck(with_mask):
-    d, states, weight, mask = _attention_inputs(2, 4, 3, 3, seed=0, with_mask=with_mask)
-
-    def loss():
-        context, weights = fused_attention(d, states, weight, pad_mask=mask)
-        return (context * context).sum() + (weights * weights).sum()
-
-    check_gradients(loss, [d, states, weight])
-
-
-@given(dims, st.integers(1, 6), dims, dims, seeds)
-@settings(max_examples=40, deadline=None)
-def test_fused_attention_byte_identical_to_eager(batch, time, dec, enc, seed):
-    d, states, weight, mask = _attention_inputs(batch, time, dec, enc, seed)
-    f_context, f_weights = fused_attention(d, states, weight, pad_mask=mask)
-    e_context, e_weights = _eager_attention_chain(d, states, weight, mask)
-    assert np.array_equal(f_context.data, e_context.data)  # bytes, not close
-    assert np.array_equal(f_weights.data, e_weights.data)
-
-
-@given(dims, st.integers(2, 6), dims, dims, seeds)
-@settings(max_examples=25, deadline=None)
-def test_fused_attention_arena_replay_byte_identical(batch, time, dec, enc, seed):
-    d, states, weight, mask = _attention_inputs(batch, time, dec, enc, seed)
-    e_context, e_weights = _eager_attention_chain(d, states, weight, mask)
-    with lazy(), no_grad():
-        for _ in range(3):  # repeated steps must not disturb each other
-            a_context, a_weights = fused_attention(d, states, weight, pad_mask=mask)
-            assert np.array_equal(a_context.data, e_context.data)
-            assert np.array_equal(a_weights.data, e_weights.data)
-
-
-def test_attention_layer_routes_through_fused_kernel_identically():
-    rng = np.random.default_rng(3)
-    layer = GlobalAttention(4, 6, rng)
-    d = Tensor(rng.standard_normal((3, 4)))
-    states = Tensor(rng.standard_normal((3, 5, 6)))
-    mask = rng.random((3, 5)) < 0.3
-    mask[:, 0] = False
-    eager_c, eager_w = layer(d, states, pad_mask=mask)
-    with lazy():
-        fused_c, fused_w = layer(d, states, pad_mask=mask)
-    assert np.array_equal(eager_c.data, fused_c.data)
-    assert np.array_equal(eager_w.data, fused_w.data)
-
-
-def test_fused_attention_weights_normalized_and_masked():
-    d, states, weight, mask = _attention_inputs(3, 5, 4, 4, seed=9)
-    with lazy(), no_grad():
-        _, weights = fused_attention(d, states, weight, pad_mask=mask)
-    np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, rtol=1e-12)
-    assert (weights.data[mask] < 1e-12).all()
-
-
-# ---------------------------------------------------------------------------
-# fused_pointer_probs
-# ---------------------------------------------------------------------------
-def _pointer_inputs(batch, time, enc, seed):
-    rng = np.random.default_rng(seed)
-    projected = Tensor(rng.standard_normal((batch, enc)), requires_grad=True)
-    states = Tensor(rng.standard_normal((batch, time, enc)), requires_grad=True)
-    bias = Tensor(rng.standard_normal(1), requires_grad=True)
-    mask = rng.random((batch, time)) < 0.3
-    mask[:, 0] = False
-    return projected, states, bias, mask
-
-
-def _eager_pointer_chain(projected, states, bias, mask):
-    scores = (expand_dims(projected, 1) * states).sum(axis=2)
-    scores = scores + bias
-    scores = masked_fill(scores, mask, -1e9)
-    return softmax(scores, axis=1)
-
-
-def test_fused_pointer_probs_gradcheck():
-    projected, states, bias, mask = _pointer_inputs(2, 4, 3, seed=1)
-
-    def loss():
-        probs = fused_pointer_probs(projected, states, bias, mask)
-        return (probs * probs).sum()
-
-    check_gradients(loss, [projected, states, bias])
-
-
-@given(dims, st.integers(2, 6), dims, seeds)
-@settings(max_examples=40, deadline=None)
-def test_fused_pointer_probs_byte_identical(batch, time, enc, seed):
-    projected, states, bias, mask = _pointer_inputs(batch, time, enc, seed)
-    eager = _eager_pointer_chain(projected, states, bias, mask)
-    fused = fused_pointer_probs(projected, states, bias, mask)
-    assert np.array_equal(fused.data, eager.data)
-    with lazy(), no_grad():
-        for _ in range(3):
-            lazy_probs = fused_pointer_probs(projected, states, bias, mask)
-            assert np.array_equal(lazy_probs.data, eager.data)
-
-
-# ---------------------------------------------------------------------------
-# LSTM step: fused node under lazy() + no_grad vs eager and the elementary reference
+# LSTM step: fused node with gradients on vs under no_grad, and the elementary reference
 # ---------------------------------------------------------------------------
 @given(dims, dims, dims, seeds)
 @settings(max_examples=40, deadline=None)
@@ -163,10 +27,9 @@ def test_lstm_arena_step_byte_identical(batch, input_size, hidden, seed):
     state = cell.initial_state(batch)
     x2 = Tensor(rng.standard_normal((batch, input_size)))
 
+    h1, c1 = cell(x, state)
+    h2, c2 = cell(x2, (h1, c1))
     with no_grad():
-        h1, c1 = cell(x, state)
-        h2, c2 = cell(x2, (h1, c1))
-    with lazy(), no_grad():
         a_h1, a_c1 = cell(x, state)
         a_h2, a_c2 = cell(x2, (a_h1, a_c1))
     assert np.array_equal(a_h1.data, h1.data)
@@ -181,16 +44,16 @@ def test_lstm_arena_matches_forward_reference():
     x = Tensor(rng.standard_normal((3, 4)))
     state = cell.initial_state(3)
     ref_h, ref_c = cell.forward_reference(x, state)
-    with lazy(), no_grad():
+    with no_grad():
         h, c = cell(x, state)
     np.testing.assert_allclose(h.data, ref_h.data, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(c.data, ref_c.data, rtol=1e-12, atol=1e-14)
 
 
 def test_stacked_cells_with_shared_shapes_do_not_alias():
-    """Three same-shaped cells chained for many steps under lazy() +
-    no_grad: each cell's h/c state must stay private (a buffer shared
-    between same-shaped cells would corrupt h/c after two steps)."""
+    """Three same-shaped cells chained for many steps under no_grad: each
+    cell's h/c state must stay private (a buffer shared between
+    same-shaped cells would corrupt h/c after two steps)."""
     rng = np.random.default_rng(23)
     cells = [LSTMCell(6, 6, rng) for _ in range(3)]
     xs = [Tensor(rng.standard_normal((2, 6))) for _ in range(6)]
@@ -205,9 +68,8 @@ def test_stacked_cells_with_shared_shapes_do_not_alias():
                 inp = h
         return [(h.data.copy(), c.data.copy()) for h, c in states]
 
+    eager = run_chain()
     with no_grad():
-        eager = run_chain()
-    with lazy(), no_grad():
         fused = run_chain()
     for (eh, ec), (fh, fc) in zip(eager, fused):
         assert np.array_equal(eh, fh)
@@ -217,23 +79,28 @@ def test_stacked_cells_with_shared_shapes_do_not_alias():
 def test_fused_kernels_are_single_tape_nodes_under_grad():
     from repro.tensor.profiler import TapeProfile
 
-    d, states, weight, mask = _attention_inputs(2, 4, 3, 3, seed=5)
-    with TapeProfile() as eager_profile:
-        _eager_attention_chain(d, states, weight, mask)
+    rng = np.random.default_rng(5)
+    cell = LSTMCell(3, 4, rng)
+    x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    state = cell.initial_state(2)
+    with TapeProfile() as reference_profile:
+        cell.forward_reference(x, state)
     with TapeProfile() as fused_profile:
-        fused_attention(d, states, weight, pad_mask=mask)
+        cell(x, state)
     # one packed node + two slice views
     assert fused_profile.nodes == 3
-    assert fused_profile.nodes < eager_profile.nodes
+    assert fused_profile.nodes < reference_profile.nodes
 
 
 def test_anomaly_mode_disables_raw_arena_but_keeps_fusion():
-    """detect_anomaly needs tape nodes for provenance: inside lazy() the
-    fused kernel is one tape node, which on_op sees."""
+    """detect_anomaly needs tape nodes for provenance: the fused cell is
+    one tape node, which on_op sees."""
     from repro.tensor import NumericalAnomaly, detect_anomaly
 
-    d, states, weight, mask = _attention_inputs(2, 4, 3, 3, seed=5)
-    d.data[0, 0] = np.nan
-    with lazy(), pytest.raises(NumericalAnomaly):
+    rng = np.random.default_rng(5)
+    cell = LSTMCell(3, 4, rng)
+    x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    x.data[0, 0] = np.nan
+    with pytest.raises(NumericalAnomaly):
         with detect_anomaly(emit_telemetry=False):
-            fused_attention(d, states, weight, pad_mask=mask)
+            cell(x, cell.initial_state(2))

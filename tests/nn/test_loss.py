@@ -45,7 +45,7 @@ def test_cross_entropy_uniform_equals_log_vocab():
 
 
 def test_sequence_nll_averages_over_valid_tokens():
-    probs = [Tensor(np.array([0.5, 0.25])), Tensor(np.array([1.0, 0.125]))]
+    probs = Tensor(np.array([[0.5, 1.0], [0.25, 0.125]]))
     targets = np.zeros((2, 2), dtype=int)
     pad = np.array([[False, False], [False, True]])
     loss = sequence_nll(probs, targets, pad)
@@ -54,19 +54,19 @@ def test_sequence_nll_averages_over_valid_tokens():
 
 
 def test_sequence_nll_clamps_zero_probabilities():
-    probs = [Tensor(np.array([0.0]))]
+    probs = Tensor(np.array([[0.0]]))
     loss = sequence_nll(probs, np.zeros((1, 1), dtype=int), np.array([[False]]))
     assert np.isfinite(loss.item())
 
 
 def test_sequence_nll_length_mismatch_raises():
     with pytest.raises(ValueError):
-        sequence_nll([Tensor(np.ones(1))], np.zeros((1, 2), dtype=int), np.zeros((1, 2), dtype=bool))
+        sequence_nll(Tensor(np.ones((1, 1))), np.zeros((1, 2), dtype=int), np.zeros((1, 2), dtype=bool))
 
 
 def test_sequence_nll_all_padding_raises():
     with pytest.raises(ValueError):
-        sequence_nll([Tensor(np.ones(1))], np.zeros((1, 1), dtype=int), np.array([[True]]))
+        sequence_nll(Tensor(np.ones((1, 1))), np.zeros((1, 1), dtype=int), np.array([[True]]))
 
 
 def test_sequence_nll_gradcheck():
@@ -75,7 +75,6 @@ def test_sequence_nll_gradcheck():
     pad = np.array([[False, False], [False, True]])
 
     def loss():
-        steps = [raw[:, 0], raw[:, 1]]
-        return sequence_nll(steps, targets, pad)
+        return sequence_nll(raw, targets, pad)
 
     check_gradients(loss, [raw])

@@ -88,6 +88,18 @@ def test_matmul_matrix_vector_gradcheck():
     check_gradients(lambda: (a @ v).sum(), [a, v])
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 4), (2, 2, 3, 4)])
+def test_matmul_nd_matrix_vector_gradcheck(shape):
+    """``(..., n) @ (n,)`` with a 3+-D left operand (the Eq. 4 gate over a
+    ``(B, T, H)`` stack of decoder states): the vector's gradient sums the
+    outer products over every leading axis."""
+    rng = np.random.default_rng(4)
+    a = Tensor(rng.standard_normal(shape), requires_grad=True)
+    v = Tensor(rng.standard_normal(shape[-1]), requires_grad=True)
+    weights = rng.standard_normal(shape[:-1])
+    check_gradients(lambda: ((a @ v) * Tensor(weights)).sum(), [a, v])
+
+
 def test_matmul_vector_vector_gradcheck():
     rng = np.random.default_rng(2)
     a = Tensor(rng.standard_normal(5), requires_grad=True)

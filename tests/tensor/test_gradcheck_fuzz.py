@@ -81,13 +81,13 @@ def test_safe_log_finite_on_zero_probabilities(probs):
 @given(probabilities)
 def test_sequence_nll_finite_on_degenerate_probabilities(probs):
     """Eq. 7 loss: exact-zero gold-token probabilities must not produce inf."""
-    step_probs = [_grad_tensor(probs)]
+    step_probs = _grad_tensor(probs.reshape(-1, 1))
     targets = np.zeros((probs.size, 1), dtype=int)
     pad_mask = np.zeros((probs.size, 1), dtype=bool)
     loss = sequence_nll(step_probs, targets, pad_mask)
     assert np.isfinite(loss.item())
     loss.backward()
-    assert np.isfinite(step_probs[0].grad).all()
+    assert np.isfinite(step_probs.grad).all()
 
 
 @SETTINGS

@@ -230,44 +230,17 @@ def test_train_with_numerics_flags_end_to_end(tmp_path):
     assert (out / "model.npz").exists()
 
 
-@pytest.mark.parametrize("runtime", [[], ["--workers", "0"]], ids=["trainer", "elastic"])
-def test_train_fusion_flag_sets_trainer_config(tmp_path, monkeypatch, runtime):
-    import repro.cli as cli
-
-    seen = []
-
-    def recording(cls):
-        class Recording(cls):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                seen.append(self.config.fusion)
-
-        return Recording
-
-    monkeypatch.setattr(cli, "Trainer", recording(cli.Trainer))
-    monkeypatch.setattr(cli, "ElasticTrainer", recording(cli.ElasticTrainer))
-    code = main(
-        [
-            "train",
-            "--train-size", "40",
-            "--epochs", "1",
-            "--hidden-size", "8",
-            "--embedding-dim", "8",
-            "--num-layers", "1",
-            "--dropout", "0.0",
-            "--fusion",
-            "--out", str(tmp_path / "fused"),
-            *runtime,
-        ]
-    )
-    assert code == 0
-    assert seen == [True]
-
-
 @pytest.mark.parametrize("command", ["evaluate", "generate", "serve"])
 def test_decode_commands_reject_fusion_flag(command, capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args([command, "--bundle", "x", "--fusion"])
+    assert "unrecognized arguments: --fusion" in capsys.readouterr().err
+
+
+def test_train_rejects_fusion_flag(capsys):
+    """Training has one loss form; the fusion switch is gone."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["train", "--out", "x", "--fusion"])
     assert "unrecognized arguments: --fusion" in capsys.readouterr().err
 
 

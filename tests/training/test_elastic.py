@@ -348,66 +348,3 @@ def test_pool_telemetry_records_membership_and_efficiency():
     markers = {record["name"] for record in sink.of_kind("run")}
     assert "elastic_start" in markers
     assert "elastic_finish" in markers
-
-
-# ----------------------------------------------------------------------
-# TrainerConfig.fusion reaches every gradient contribution
-# ----------------------------------------------------------------------
-def test_fusion_config_runs_fused_in_workers_and_inline(tmp_path, monkeypatch):
-    """Every contribution — computed by a worker or by the inline
-    fallback — builds the tape of a fused in-process micro-batch (fewer
-    nodes than eager), and the fused trajectory is the same at any world
-    size."""
-    import json
-    from contextlib import nullcontext
-
-    import repro.training.elastic as elastic_module
-    from repro.tensor.lazy import lazy
-    from repro.tensor.profiler import TapeProfile
-
-    log = tmp_path / "contributions.jsonl"
-    real_compute = elastic_module.compute_microbatch
-
-    def profiled_compute(model, examples, run_seed, epoch, slot, indices, *args):
-        with TapeProfile() as profile:
-            result = real_compute(model, examples, run_seed, epoch, slot, indices, *args)
-        with open(log, "a") as handle:
-            handle.write(
-                json.dumps([os.getpid(), epoch, slot, list(indices), profile.nodes]) + "\n"
-            )
-        return result
-
-    # Forked workers inherit the patched module attribute.
-    monkeypatch.setattr(elastic_module, "compute_microbatch", profiled_compute)
-
-    def fused_run(workers):
-        model, dataset = _make_setup()
-        trainer = ElasticTrainer(
-            model,
-            dataset,
-            batch_size=2,
-            config=TrainerConfig(epochs=1, learning_rate=0.5, fusion=True),
-            elastic=ElasticConfig(workers=workers, **FAST_POOL),
-            run_seed=RUN_SEED,
-        )
-        trainer.train()
-        records = [json.loads(line) for line in log.read_text().splitlines()]
-        log.unlink()
-        return trainer.model.state_dict(), records
-
-    worker_params, worker_records = fused_run(1)
-    inline_params, inline_records = fused_run(0)
-    assert worker_records and all(pid != os.getpid() for pid, *_ in worker_records)
-    assert inline_records and all(pid == os.getpid() for pid, *_ in inline_records)
-    _assert_same_params(inline_params, worker_params)
-
-    model, dataset = _make_setup()
-
-    def in_process_nodes(epoch, slot, indices, fused):
-        with TapeProfile() as profile, lazy() if fused else nullcontext():
-            real_compute(model, dataset, RUN_SEED, epoch, slot, indices)
-        return profile.nodes
-
-    for _, epoch, slot, indices, nodes in worker_records + inline_records:
-        assert nodes == in_process_nodes(epoch, slot, indices, fused=True)
-        assert nodes < in_process_nodes(epoch, slot, indices, fused=False)
